@@ -37,40 +37,19 @@
 #include "obs/span_tracer.h"
 #include "obs/timeseries.h"
 #include "sched/capacity_search.h"
+#include "stats/hash.h"
 #include "stats/table_printer.h"
 
 namespace {
 
 using namespace dri;
 
-/** FNV-1a over the bit patterns of every latency-bearing stat field. */
-struct Fnv
-{
-    std::uint64_t h = 1469598103934665603ULL;
-
-    void
-    add(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 1099511628211ULL;
-        }
-    }
-
-    void
-    add(double v)
-    {
-        std::uint64_t bits;
-        static_assert(sizeof bits == sizeof v, "double is 64-bit");
-        std::memcpy(&bits, &v, sizeof bits);
-        add(bits);
-    }
-};
-
 std::uint64_t
 fingerprint(const std::vector<core::RequestStats> &stats)
 {
-    Fnv fnv;
+    // FNV-1a over the bit patterns of every latency-bearing stat field,
+    // from the offset basis the committed baselines were pinned with.
+    stats::Fnv1a fnv(1469598103934665603ULL);
     fnv.add(static_cast<std::uint64_t>(stats.size()));
     for (const auto &s : stats) {
         fnv.add(s.id);

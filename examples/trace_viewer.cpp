@@ -1,20 +1,32 @@
 /**
  * @file
  * Trace viewer: reproduces the Fig. 3 visualization. Runs one request
- * through a distributed DRM1 deployment with span retention enabled and
- * renders the cross-layer distributed trace as an ASCII timeline — main
- * shard on top, sparse shards below, with dense ops, serde, service,
- * network, and sparse-op spans distinguishable.
+ * through a distributed DRM1 deployment with an obs::SpanTracer attached
+ * and renders the cross-layer distributed trace as an ASCII timeline —
+ * main shard on top, sparse shards below, with dense ops, serde, queue,
+ * wire and remote-compute spans distinguishable. Each sparse RPC attempt
+ * is then attributed as in Section IV-B: network latency is the
+ * attempt's outstanding time at the main shard minus its E2E time on
+ * the sparse shard.
+ *
+ * Self-checking (exit 1 on violation):
+ *  - the request left spans;
+ *  - span conservation: one closed root, no open spans, no nesting
+ *    violations;
+ *  - the slowest attempt's network latency equals the request's
+ *    RequestStats::emb_network.
  */
+#include <fstream>
 #include <iostream>
+#include <map>
 
 #include "core/serving.h"
 #include "core/strategies.h"
 #include "model/generators.h"
-#include <fstream>
-
-#include "trace/export.h"
-#include "trace/render.h"
+#include "obs/chrome_trace.h"
+#include "obs/critical_path.h"
+#include "obs/render.h"
+#include "obs/span_tracer.h"
 #include "workload/request_generator.h"
 
 int
@@ -30,36 +42,50 @@ main()
     requests[0].items = 96; // two default batches
 
     const auto plan = core::makeLoadBalanced(spec, 2, pooling);
+    obs::SpanTracer tracer;
     core::ServingConfig config;
-    config.retain_spans = true;
     config.seed = 3;
+    config.tracer = &tracer;
     core::ServingSimulation sim(spec, plan, config);
     const auto stats = sim.replaySerial(requests);
+    const auto &st = stats.front();
+    const auto &spans = tracer.spans();
 
     std::cout << "Distributed trace of one DRM1 request ("
               << plan.label() << "), as in the paper's Fig. 3:\n\n";
-    std::cout << trace::renderRequestTrace(sim.collector(), requests[0].id,
-                                           100);
+    std::cout << obs::renderRequestTrace(spans, st.id, 100);
 
-    std::cout << "\nPer-RPC records (Section IV-B attribution):\n";
-    for (const auto &rpc : sim.collector().rpcsForRequest(requests[0].id)) {
-        std::cout << "  net " << rpc.net_id << " batch " << rpc.batch_id
-                  << " -> shard " << rpc.shard_id << ": outstanding "
-                  << sim::toMicros(rpc.outstanding()) << " us (remote e2e "
-                  << sim::toMicros(rpc.remoteE2e()) << " us, network "
-                  << sim::toMicros(rpc.networkLatency()) << " us, SLS "
-                  << sim::toMicros(rpc.remote_sparse_op_ns) << " us)\n";
+    // Remote E2E of each attempt = its remote queue + remote compute.
+    std::map<obs::SpanId, sim::Duration> remote_e2e;
+    for (const auto &s : spans)
+        if (s.kind == obs::SpanKind::RemoteQueue ||
+            s.kind == obs::SpanKind::RemoteCompute)
+            remote_e2e[s.parent] += s.duration();
+
+    std::cout << "\nPer-RPC attempts (Section IV-B attribution):\n";
+    sim::Duration slowest = -1, slowest_network = 0;
+    for (const auto &s : spans) {
+        if (s.kind != obs::SpanKind::RpcAttempt)
+            continue;
+        const sim::Duration network = s.duration() - remote_e2e[s.id];
+        if (s.duration() > slowest) {
+            slowest = s.duration();
+            slowest_network = network;
+        }
+        std::cout << "  net " << s.net << " batch " << s.batch
+                  << " -> shard " << s.shard << ": outstanding "
+                  << sim::toMicros(s.duration()) << " us (remote e2e "
+                  << sim::toMicros(remote_e2e[s.id]) << " us, network "
+                  << sim::toMicros(network) << " us)\n";
     }
 
     // Also export the trace for interactive inspection in Perfetto /
     // chrome://tracing.
-    const std::string json =
-        trace::chromeTraceJson(sim.collector(), requests[0].id);
+    const std::string json = obs::chromeTraceJson(spans);
     std::ofstream("trace_viewer_request.json") << json;
     std::cout << "\nChrome trace written to trace_viewer_request.json ("
               << json.size() << " bytes)\n";
 
-    const auto &st = stats.front();
     std::cout << "\nE2E " << sim::toMillis(st.e2e)
               << " ms = dense " << sim::toMillis(st.lat_dense)
               << " + embedded " << sim::toMillis(st.lat_embedded)
@@ -67,5 +93,18 @@ main()
               << " + service " << sim::toMillis(st.lat_service)
               << " + net-overhead " << sim::toMillis(st.lat_net_overhead)
               << " (ms)\n";
-    return 0;
+
+    bool ok = true;
+    const auto check = [&ok](bool pass, const char *what) {
+        if (!pass) {
+            std::cout << "SELF-CHECK FAIL: " << what << "\n";
+            ok = false;
+        }
+    };
+    check(!spans.empty(), "the request left no spans");
+    check(obs::checkConservation(spans).ok(stats.size()),
+          "span conservation");
+    check(slowest >= 0 && slowest_network == st.emb_network,
+          "slowest attempt's network latency != RequestStats::emb_network");
+    return ok ? 0 : 1;
 }

@@ -1,15 +1,16 @@
 #include "core/serving.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdlib>
 #include <deque>
 #include <functional>
 #include <map>
 #include <new>
+#include <stdexcept>
 
 #include "cache/lookup_model.h"
+#include "core/rpc_record.h"
 #include "netsim/message.h"
 #include "obs/span_tracer.h"
 #include "obs/timeseries.h"
@@ -32,6 +33,25 @@ sim::Duration
 scaled(sim::Duration ns, double cpu_scale)
 {
     return scaled(static_cast<double>(ns), cpu_scale);
+}
+
+/**
+ * Argument check for the public control surface. Unlike assert() it
+ * holds in Release builds, where a bad id would otherwise index past a
+ * per-replica vector.
+ */
+void
+require(bool ok, const char *what)
+{
+    if (!ok)
+        throw std::invalid_argument(what);
+}
+
+/** Whether @p id indexes a vector of @p n entries. */
+bool
+inRange(int id, std::size_t n)
+{
+    return id >= 0 && static_cast<std::size_t>(id) < n;
 }
 
 } // namespace
@@ -177,7 +197,7 @@ struct ServingSimulation::Impl
         std::vector<std::int64_t> group_lookups;
         std::int64_t inline_lookups = 0;
         /** Bounding (slowest outstanding) RPC of this request. */
-        trace::RpcRecord bounding;
+        RpcRecord bounding;
         bool has_bounding = false;
         sim::Duration max_inline_sparse = 0;
         std::function<void(const RequestStats &)> on_complete;
@@ -209,13 +229,13 @@ struct ServingSimulation::Impl
      */
     struct AttemptCtx
     {
-        trace::RpcRecord rec;
+        RpcRecord rec;
         stats::Rng rng{0};
     };
 
     Impl(const model::ModelSpec &spec, const ShardingPlan &plan,
-         const ServingConfig &cfg, trace::TraceCollector &collector)
-        : spec(spec), plan(plan), cfg(cfg), collector(collector),
+         const ServingConfig &cfg)
+        : spec(spec), plan(plan), cfg(cfg),
           link(cfg.link), service(cfg.service), rng(cfg.seed),
           hedge_tracker(cfg.hedge.window), result_cache(cfg.result_cache)
     {
@@ -276,7 +296,6 @@ struct ServingSimulation::Impl
     const model::ModelSpec &spec;
     const ShardingPlan &plan;
     ServingConfig cfg;
-    trace::TraceCollector &collector;
     /** Cached span tracer; null when tracing is disabled. */
     obs::SpanTracer *tr = nullptr;
 
@@ -550,21 +569,6 @@ struct ServingSimulation::Impl
     }
 
     // -- Helpers -------------------------------------------------------------
-
-    void
-    span(trace::Layer layer, int shard, int net, int batch,
-         sim::SimTime begin, sim::SimTime end, std::uint64_t request_id)
-    {
-        trace::Span s;
-        s.request_id = request_id;
-        s.shard_id = shard;
-        s.net_id = net;
-        s.batch_id = batch;
-        s.layer = layer;
-        s.begin = begin;
-        s.end = end;
-        collector.addSpan(s);
-    }
 
     std::int64_t
     batchItems(const Active *a, int b) const
@@ -847,8 +851,8 @@ struct ServingSimulation::Impl
     void
     killReplica(int server)
     {
-        assert(server >= 0 &&
-               static_cast<std::size_t>(server) < sparse_cores.size());
+        require(inRange(server, sparse_cores.size()),
+                "killReplica: server id out of range");
         const auto s = static_cast<std::size_t>(server);
         if (replica_dead[s])
             return;
@@ -861,8 +865,8 @@ struct ServingSimulation::Impl
     void
     restoreReplica(int server)
     {
-        assert(server >= 0 &&
-               static_cast<std::size_t>(server) < sparse_cores.size());
+        require(inRange(server, sparse_cores.size()),
+                "restoreReplica: server id out of range");
         const auto s = static_cast<std::size_t>(server);
         if (!replica_dead[s])
             return;
@@ -1021,8 +1025,6 @@ struct ServingSimulation::Impl
             a->st.cpu_service_ns += static_cast<double>(handler);
             a->st.lat_serde += deserde;
             a->st.cpu_serde_ns += static_cast<double>(deserde);
-            span(trace::Layer::RequestSerDe, trace::kMainShard, -1, -1,
-                 engine.now(), engine.now() + handler + deserde, a->st.id);
             if (tr) {
                 if (engine.now() > q0)
                     tr->record(a->st.id, obs::SpanKind::QueueWait,
@@ -1122,16 +1124,6 @@ struct ServingSimulation::Impl
                            mainScale());
                 a->st.cpu_ops_ns += static_cast<double>(sparse);
                 a->st.main_op_ns += static_cast<double>(sparse);
-                span(trace::Layer::DenseOp, trace::kMainShard, ni.net_id, b,
-                     engine.now(), engine.now() + overhead + bottom,
-                     a->st.id);
-                span(trace::Layer::SparseOp, trace::kMainShard, ni.net_id, b,
-                     engine.now() + overhead + bottom,
-                     engine.now() + overhead + bottom + sparse, a->st.id);
-                span(trace::Layer::DenseOp, trace::kMainShard, ni.net_id, b,
-                     engine.now() + overhead + bottom + sparse,
-                     engine.now() + overhead + bottom + sparse + top,
-                     a->st.id);
                 if (tr) {
                     const sim::SimTime t0 = engine.now();
                     tr->record(a->st.id, obs::SpanKind::DenseBottom,
@@ -1242,11 +1234,6 @@ struct ServingSimulation::Impl
                 });
                 return;
             }
-            span(trace::Layer::DenseOp, trace::kMainShard, ni.net_id, b,
-                 engine.now(), engine.now() + overhead + bottom, a->st.id);
-            span(trace::Layer::ClientDispatch, trace::kMainShard, ni.net_id,
-                 b, engine.now() + overhead + bottom,
-                 engine.now() + overhead + bottom + send_cpu, a->st.id);
             if (tr) {
                 const sim::SimTime t0 = engine.now();
                 tr->record(a->st.id, obs::SpanKind::DenseBottom, sp_batch,
@@ -1500,8 +1487,7 @@ struct ServingSimulation::Impl
         }
 
         AttemptCtx *ctx = attempt_pool.acquire();
-        ctx->rec = trace::RpcRecord{};
-        ctx->rec.request_id = a->st.id;
+        ctx->rec = RpcRecord{};
         ctx->rec.shard_id = g.shard;
         ctx->rec.net_id = op->ni->net_id;
         ctx->rec.batch_id = op->bt->batch_id;
@@ -1510,9 +1496,6 @@ struct ServingSimulation::Impl
 
         const sim::Duration out_delay =
             link.oneWayDelay(op->req_bytes, ctx->rng);
-        span(trace::Layer::Network, g.shard, op->ni->net_id,
-             op->bt->batch_id, engine.now(), engine.now() + out_delay,
-             a->st.id);
         if (tr)
             tr->record(a->st.id, obs::SpanKind::WireOut, ex.sp_attempt,
                        engine.now(), engine.now() + out_delay, g.shard,
@@ -1631,7 +1614,7 @@ struct ServingSimulation::Impl
             const double remote_scale =
                 sparseScale() * interference *
                 replica_degrade[static_cast<std::size_t>(server)];
-            trace::RpcRecord &rec = ctx->rec;
+            RpcRecord &rec = ctx->rec;
             rec.remote_queue_ns = engine.now() - q0;
             rec.remote_service_ns =
                 scaled(service.handlerNs(), remote_scale);
@@ -1685,9 +1668,6 @@ struct ServingSimulation::Impl
             ex.op_ns = rec.remote_sparse_op_ns;
             ex.sidx = sidx;
             ex.nidx = nidx;
-            span(trace::Layer::SparseOp, g2.shard, op->ni->net_id,
-                 op->bt->batch_id, engine.now(), engine.now() + busy,
-                 a2->st.id);
             if (tr) {
                 if (engine.now() > q0)
                     tr->record(a2->st.id, obs::SpanKind::RemoteQueue,
@@ -1787,9 +1767,6 @@ struct ServingSimulation::Impl
                 derefOp(op); // response path only needs the batch
                 const sim::Duration back =
                     link.oneWayDelay(resp_bytes, ctx->rng);
-                span(trace::Layer::Network, ctx->rec.shard_id,
-                     ctx->rec.net_id, ctx->rec.batch_id, engine.now(),
-                     engine.now() + back, bt->req->st.id);
                 if (tr)
                     tr->record(bt->req->st.id, obs::SpanKind::WireBack,
                                sp_attempt, engine.now(),
@@ -1867,7 +1844,7 @@ struct ServingSimulation::Impl
 
     void
     responseArrive(BatchState *bt, std::int64_t resp_bytes,
-                   trace::RpcRecord rec)
+                   RpcRecord rec)
     {
         Active *a = bt->req;
         if (a->shed_mid_flight) {
@@ -1881,7 +1858,6 @@ struct ServingSimulation::Impl
             return;
         }
         rec.completed = engine.now();
-        collector.addRpc(rec);
         if (!a->has_bounding ||
             rec.outstanding() > a->bounding.outstanding()) {
             a->bounding = rec;
@@ -1894,9 +1870,6 @@ struct ServingSimulation::Impl
 
         // All shards answered: deserialize responses + top dense.
         const sim::Duration embedded = bt->last_response - bt->dispatch_time;
-        span(trace::Layer::EmbeddedWait, trace::kMainShard,
-             nets[bt->net_idx].net_id, bt->batch_id, bt->dispatch_time,
-             bt->last_response, a->st.id);
         if (tr)
             tr->end(bt->sp_embed, bt->last_response);
         const sim::SimTime merge0 = engine.now();
@@ -1912,9 +1885,6 @@ struct ServingSimulation::Impl
                 scaled(service.serdeNs(bt->response_bytes), mainScale());
             const sim::Duration top = bt->top_dense;
             a->st.cpu_serde_ns += static_cast<double>(resp_deserde);
-            span(trace::Layer::DenseOp, trace::kMainShard,
-                 nets[bt->net_idx].net_id, bt->batch_id, engine.now(),
-                 engine.now() + resp_deserde + top, a->st.id);
             if (tr) {
                 const int net_id = nets[bt->net_idx].net_id;
                 if (engine.now() > merge0)
@@ -1987,9 +1957,6 @@ struct ServingSimulation::Impl
             a->st.cpu_serde_ns += static_cast<double>(resp_serde);
             a->st.lat_service += handler;
             a->st.cpu_service_ns += static_cast<double>(handler);
-            span(trace::Layer::RequestSerDe, trace::kMainShard, -1, -1,
-                 engine.now(), engine.now() + resp_serde + handler,
-                 a->st.id);
             if (tr) {
                 if (engine.now() > q0)
                     tr->record(a->st.id, obs::SpanKind::QueueWait,
@@ -2060,10 +2027,9 @@ struct ServingSimulation::Impl
 ServingSimulation::ServingSimulation(const model::ModelSpec &spec,
                                      const ShardingPlan &plan,
                                      ServingConfig config)
-    : spec_(spec), plan_(plan), config_(config),
-      collector_(config.retain_spans)
+    : spec_(spec), plan_(plan), config_(config)
 {
-    impl_ = std::make_unique<Impl>(spec_, plan_, config_, collector_);
+    impl_ = std::make_unique<Impl>(spec_, plan_, config_);
 }
 
 ServingSimulation::~ServingSimulation() = default;
@@ -2103,7 +2069,7 @@ std::vector<RequestStats>
 ServingSimulation::replayOpenLoop(
     const std::vector<workload::Request> &requests, double qps)
 {
-    assert(qps > 0.0);
+    require(qps > 0.0, "replayOpenLoop: qps must be > 0");
     std::vector<RequestStats> results;
     results.reserve(requests.size());
     impl_->results = &results;
@@ -2268,10 +2234,9 @@ ServingSimulation::restoreReplica(int server_id)
 void
 ServingSimulation::degradeReplica(int server_id, double multiplier)
 {
-    assert(server_id >= 0 &&
-           static_cast<std::size_t>(server_id) <
-               impl_->replica_degrade.size());
-    assert(multiplier > 0.0);
+    require(inRange(server_id, impl_->replica_degrade.size()),
+            "degradeReplica: server id out of range");
+    require(multiplier > 0.0, "degradeReplica: multiplier must be > 0");
     impl_->replica_degrade[static_cast<std::size_t>(server_id)] =
         multiplier;
 }
@@ -2279,9 +2244,8 @@ ServingSimulation::degradeReplica(int server_id, double multiplier)
 void
 ServingSimulation::partitionShard(int shard_id, bool partitioned)
 {
-    assert(shard_id >= 0 &&
-           static_cast<std::size_t>(shard_id) <
-               impl_->shard_partitioned.size());
+    require(inRange(shard_id, impl_->shard_partitioned.size()),
+            "partitionShard: shard id out of range");
     impl_->shard_partitioned[static_cast<std::size_t>(shard_id)] =
         partitioned ? 1 : 0;
 }
@@ -2289,9 +2253,8 @@ ServingSimulation::partitionShard(int shard_id, bool partitioned)
 bool
 ServingSimulation::replicaAlive(int server_id) const
 {
-    assert(server_id >= 0 &&
-           static_cast<std::size_t>(server_id) <
-               impl_->replica_dead.size());
+    require(inRange(server_id, impl_->replica_dead.size()),
+            "replicaAlive: server id out of range");
     return impl_->replica_dead[static_cast<std::size_t>(server_id)] == 0;
 }
 

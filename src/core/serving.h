@@ -40,7 +40,6 @@
 #include "sim/engine.h"
 #include "sim/resource.h"
 #include "stats/rng.h"
-#include "trace/collector.h"
 #include "workload/request_generator.h"
 
 namespace dri::cache {
@@ -270,8 +269,6 @@ struct ServingConfig
         shard_cache_models;
 
     std::uint64_t seed = 1234;
-    /** Retain raw spans (needed for trace rendering; memory-heavy). */
-    bool retain_spans = false;
     /**
      * Optional request-level span tracer (src/obs). When set and
      * enabled, the serving engine emits a nested span tree per request
@@ -321,7 +318,8 @@ class ServingSimulation
 
     /**
      * Replay with open-loop Poisson arrivals at the given rate (the
-     * Section VII-A high-QPS experiment).
+     * Section VII-A high-QPS experiment). Throws std::invalid_argument
+     * unless qps > 0.
      */
     std::vector<RequestStats>
     replayOpenLoop(const std::vector<workload::Request> &requests,
@@ -427,8 +425,9 @@ class ServingSimulation
     //    mid-run from an engine() callback; effects are stamped at
     //    engine().now().
     //  * `server_id` indexes replica servers in serverShards() order
-    //    (0 .. serverCount()-1); out-of-range ids are precondition
-    //    violations (asserted, undefined in release builds).
+    //    (0 .. serverCount()-1). An out-of-range id (or shard id, or a
+    //    degradation multiplier that is not > 0) throws
+    //    std::invalid_argument in every build type.
     //  * Redundant calls are no-ops: killing a dead replica, restoring a
     //    live one, re-applying an identical degradation or partition
     //    state changes nothing and counts nothing.
@@ -501,7 +500,6 @@ class ServingSimulation
      */
     std::uint64_t shedCancelledRpcs() const;
 
-    const trace::TraceCollector &collector() const { return collector_; }
     const ShardingPlan &plan() const { return plan_; }
     const model::ModelSpec &spec() const { return spec_; }
 
@@ -515,7 +513,6 @@ class ServingSimulation
     const model::ModelSpec &spec_;
     ShardingPlan plan_;
     ServingConfig config_;
-    trace::TraceCollector collector_;
 };
 
 } // namespace dri::core

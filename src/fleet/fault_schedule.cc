@@ -1,7 +1,8 @@
 #include "fleet/fault_schedule.h"
 
 #include <cassert>
-#include <cstring>
+
+#include "stats/hash.h"
 
 namespace dri::fleet {
 
@@ -125,20 +126,10 @@ FaultSchedule::activeAt(int epoch) const
 std::uint64_t
 FaultSchedule::fingerprint() const
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto bytes = [&h](const void *p, std::size_t n) {
-        const auto *b = static_cast<const unsigned char *>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= b[i];
-            h *= 0x100000001b3ULL;
-        }
-    };
-    const auto addI = [&](std::int64_t v) { bytes(&v, sizeof v); };
-    const auto addD = [&](double v) {
-        std::uint64_t b = 0;
-        std::memcpy(&b, &v, sizeof b);
-        bytes(&b, sizeof b);
-    };
+    stats::Fnv1a fnv;
+    // Every integer field is folded at 64-bit width.
+    const auto addI = [&fnv](std::int64_t v) { fnv.add(v); };
+    const auto addD = [&fnv](double v) { fnv.add(v); };
     addI(static_cast<std::int64_t>(events_.size()));
     for (const auto &ev : events_) {
         addI(static_cast<int>(ev.kind));
@@ -149,9 +140,9 @@ FaultSchedule::fingerprint() const
         addD(ev.magnitude);
         addD(ev.hot_fraction);
         addD(ev.declared_blast_radius);
-        bytes(ev.label.data(), ev.label.size());
+        fnv.bytes(ev.label.data(), ev.label.size());
     }
-    return h;
+    return fnv.h;
 }
 
 } // namespace dri::fleet

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <tuple>
 #include <utility>
 
@@ -14,35 +13,6 @@
 namespace dri::fleet {
 
 namespace {
-
-/** FNV-1a over raw bytes: the fingerprint accumulator. */
-struct Fnv
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-
-    void
-    bytes(const void *p, std::size_t n)
-    {
-        const auto *b = static_cast<const unsigned char *>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= b[i];
-            h *= 0x100000001b3ULL;
-        }
-    }
-
-    void
-    add(double v)
-    {
-        std::uint64_t bits = 0;
-        static_assert(sizeof bits == sizeof v, "double must be 64-bit");
-        std::memcpy(&bits, &v, sizeof bits);
-        bytes(&bits, sizeof bits);
-    }
-
-    void add(std::int64_t v) { bytes(&v, sizeof v); }
-    void add(int v) { bytes(&v, sizeof v); }
-    void add(bool v) { const char c = v ? 1 : 0; bytes(&c, 1); }
-};
 
 double
 meanOf(const std::vector<double> &v)
@@ -73,7 +43,7 @@ TelemetryLedger::alertCount(obs::AlertTransition t) const
 std::uint64_t
 TelemetryLedger::fingerprint() const
 {
-    Fnv fnv;
+    stats::Fnv1a fnv;
     fnv.add(static_cast<std::int64_t>(epochs.size()));
     for (const auto &e : epochs) {
         fnv.add(e.epoch);
@@ -184,7 +154,7 @@ FleetStats::reconfigurations() const
 std::uint64_t
 FleetStats::fingerprint() const
 {
-    Fnv fnv;
+    stats::Fnv1a fnv;
     fnv.add(static_cast<std::int64_t>(epochs.size()));
     for (const auto &e : epochs) {
         fnv.add(e.epoch);

@@ -1,10 +1,9 @@
 /**
  * @file
- * Request-level span vocabulary for the observability layer.
- *
- * src/trace holds the paper-faithful flat spans (one interval per stack
- * layer, no causality); src/obs adds what a production tracing system
- * would carry on top: a *tree* of spans per request — every lifecycle
+ * Request-level span vocabulary: the one span model of the serving
+ * engine's cross-layer trace (Section IV). Where the paper's tracer
+ * records flat per-layer intervals, a request here leaves a *tree* of
+ * spans, as a production tracing system would — every lifecycle
  * stage from admission through queue wait, batch coalescing, per-shard
  * RPC attempts (primary and hedge, wire/remote-queue/remote-compute),
  * result-cache probes and the response merge — with parent links, so a
@@ -33,7 +32,7 @@ namespace dri::obs {
 using SpanId = std::uint64_t;
 constexpr SpanId kNoSpan = 0;
 
-/** Shard id used for main-shard spans (matches trace::kMainShard). */
+/** Shard id used for main-shard spans; sparse shards are 0, 1, ... */
 constexpr int kMainShard = -1;
 
 /** Sentinel end time of a still-open span. */

@@ -2,12 +2,14 @@
  * @file
  * Chaos-layer tests: the ServingSimulation runtime control surface
  * (killReplica / restoreReplica / degradeReplica / partitionShard),
- * fault accounting, determinism under injected faults, and the
+ * its argument checks, fault accounting, determinism under injected faults, and the
  * fleet-level FaultSchedule script type.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 #include "core/serving.h"
 #include "core/strategies.h"
@@ -173,6 +175,71 @@ TEST(Chaos, PartitionedShardShedsUpstreamAfterRetriesExhaust)
     for (const auto &s : healed)
         EXPECT_FALSE(s.shed());
     EXPECT_EQ(sim.faultStats().partition_drops, fs.partition_drops);
+}
+
+// ---------------------------------------------------------------------------
+// Bad control-surface input throws in every build type (Release defines
+// NDEBUG, so an assert() would not stop an out-of-range index).
+// ---------------------------------------------------------------------------
+
+class ChaosBadInput : public ::testing::Test
+{
+  protected:
+    model::ModelSpec spec_ = model::makeDrm2();
+    core::ServingSimulation sim_{spec_, core::makeCapacityBalanced(spec_, 4),
+                                 chaosConfig()};
+    int servers_ = static_cast<int>(sim_.serverCount());
+    int shards_ = sim_.plan().numShards();
+};
+
+TEST_F(ChaosBadInput, KillReplicaRejectsOutOfRangeId)
+{
+    EXPECT_THROW(sim_.killReplica(-1), std::invalid_argument);
+    EXPECT_THROW(sim_.killReplica(servers_), std::invalid_argument);
+    EXPECT_EQ(sim_.faultStats().kills, 0u);
+    EXPECT_EQ(sim_.aliveReplicaCount(), sim_.serverCount());
+}
+
+TEST_F(ChaosBadInput, RestoreReplicaRejectsOutOfRangeId)
+{
+    EXPECT_THROW(sim_.restoreReplica(-1), std::invalid_argument);
+    EXPECT_THROW(sim_.restoreReplica(servers_), std::invalid_argument);
+    EXPECT_EQ(sim_.faultStats().restores, 0u);
+}
+
+TEST_F(ChaosBadInput, DegradeReplicaRejectsBadIdOrMultiplier)
+{
+    EXPECT_THROW(sim_.degradeReplica(-1, 2.0), std::invalid_argument);
+    EXPECT_THROW(sim_.degradeReplica(servers_, 2.0), std::invalid_argument);
+    EXPECT_THROW(sim_.degradeReplica(0, 0.0), std::invalid_argument);
+    EXPECT_THROW(sim_.degradeReplica(0, -1.0), std::invalid_argument);
+    EXPECT_THROW(sim_.degradeReplica(0, std::nan("")),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(sim_.degradeReplica(servers_ - 1, 1.0));
+}
+
+TEST_F(ChaosBadInput, PartitionShardRejectsOutOfRangeId)
+{
+    EXPECT_THROW(sim_.partitionShard(-1, true), std::invalid_argument);
+    EXPECT_THROW(sim_.partitionShard(shards_, true), std::invalid_argument);
+    EXPECT_NO_THROW(sim_.partitionShard(shards_ - 1, false));
+}
+
+TEST_F(ChaosBadInput, ReplicaAliveRejectsOutOfRangeId)
+{
+    EXPECT_THROW(sim_.replicaAlive(-1), std::invalid_argument);
+    EXPECT_THROW(sim_.replicaAlive(servers_), std::invalid_argument);
+    EXPECT_TRUE(sim_.replicaAlive(servers_ - 1));
+}
+
+TEST_F(ChaosBadInput, ReplayOpenLoopRejectsNonPositiveQps)
+{
+    const auto reqs = requestsFor(spec_, 2);
+    EXPECT_THROW(sim_.replayOpenLoop(reqs, 0.0), std::invalid_argument);
+    EXPECT_THROW(sim_.replayOpenLoop(reqs, -5.0), std::invalid_argument);
+    EXPECT_THROW(sim_.replayOpenLoop(reqs, std::nan("")),
+                 std::invalid_argument);
+    EXPECT_EQ(sim_.replayOpenLoop(reqs, 100.0).size(), reqs.size());
 }
 
 // ---------------------------------------------------------------------------

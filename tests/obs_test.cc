@@ -3,12 +3,14 @@
  * Unit tests for the observability layer (src/obs): span tracer
  * semantics (including the zero-allocation-when-disabled contract),
  * critical-path extraction on a hand-built span tree, conservation
- * checking, Chrome trace export sanity, and the metrics registry's
+ * checking, Chrome trace export sanity, the Fig. 3 ASCII timeline
+ * renderer, and the metrics registry's
  * edge cases (duplicate registration, kind clashes, histogram bucket
  * boundaries, snapshot determinism).
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -17,6 +19,7 @@
 #include "obs/chrome_trace.h"
 #include "obs/critical_path.h"
 #include "obs/metrics.h"
+#include "obs/render.h"
 #include "obs/span_tracer.h"
 
 namespace {
@@ -239,6 +242,77 @@ TEST(ChromeTrace, EmitsCompleteEventsForClosedSpans)
     EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);
     EXPECT_NE(json.find("\"name\":\"request\""), std::string::npos);
     EXPECT_NE(json.find("main-shard"), std::string::npos);
+    // Balanced braces/brackets (cheap well-formedness check).
+    EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
+              std::count(json.begin(), json.end(), '}'));
+    EXPECT_EQ(std::count(json.begin(), json.end(), '['),
+              std::count(json.begin(), json.end(), ']'));
+}
+
+TEST(ChromeTrace, EachShardGetsItsOwnProcess)
+{
+    obs::SpanTracer t;
+    const auto root = t.record(9, SpanKind::Request, obs::kNoSpan, 0, 4000);
+    t.record(9, SpanKind::DenseBottom, root, 1000, 3000, obs::kMainShard, 0,
+             1);
+    t.record(9, SpanKind::RemoteCompute, root, 1000, 3000, /*shard=*/2, 0,
+             1);
+    const std::string json = obs::chromeTraceJson(t.spans());
+    EXPECT_NE(json.find("\"pid\":1,"), std::string::npos); // main shard
+    EXPECT_NE(json.find("\"pid\":4,"), std::string::npos); // shard 2
+    EXPECT_EQ(json.find("\"pid\":2,"), std::string::npos);
+    EXPECT_NE(json.find("sparse-shard-2"), std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"dense_bottom\""), std::string::npos);
+    EXPECT_NE(json.find("\"name\":\"remote_compute\""),
+              std::string::npos);
+    EXPECT_NE(json.find("\"tid\":9,"), std::string::npos); // request row
+}
+
+// ---------------------------------------------------------------------------
+// ASCII timeline (Fig. 3)
+// ---------------------------------------------------------------------------
+
+TEST(Render, ProducesTimelineWithShards)
+{
+    obs::SpanTracer t;
+    const auto root = t.record(42, SpanKind::Request, obs::kNoSpan, 0, 1000);
+    t.record(42, SpanKind::DenseBottom, root, 0, 1000, obs::kMainShard, 0,
+             0);
+    t.record(42, SpanKind::RemoteCompute, root, 200, 600, /*shard=*/2, 0, 0);
+    t.record(7, SpanKind::WireOut, obs::kNoSpan, 0, 10, /*shard=*/5, 0, 0);
+
+    const std::string out = obs::renderRequestTrace(t.spans(), 42, 60);
+    EXPECT_NE(out.find("main shard"), std::string::npos);
+    EXPECT_NE(out.find("sparse shard 2"), std::string::npos);
+    EXPECT_EQ(out.find("sparse shard 5"), std::string::npos); // other request
+    EXPECT_NE(out.find(std::string(60, 'D')), std::string::npos);
+    EXPECT_NE(out.find("RRRR"), std::string::npos);
+    EXPECT_LT(out.find("main shard"), out.find("sparse shard 2"));
+}
+
+TEST(Render, EveryLeafKindHasItsOwnGlyph)
+{
+    std::string seen;
+    for (std::size_t k = 0; k < obs::kSpanKindCount; ++k) {
+        const auto kind = static_cast<SpanKind>(k);
+        const char g = obs::spanGlyph(kind);
+        const bool container =
+            kind == SpanKind::Request || kind == SpanKind::NetPhase ||
+            kind == SpanKind::BatchExec || kind == SpanKind::RpcOp ||
+            kind == SpanKind::RpcAttempt;
+        EXPECT_EQ(g == '\0', container) << obs::spanKindName(kind);
+        if (g == '\0')
+            continue;
+        EXPECT_EQ(seen.find(g), std::string::npos) << g;
+        seen += g;
+    }
+}
+
+TEST(Render, EmptyRequestExplains)
+{
+    obs::SpanTracer t;
+    const std::string out = obs::renderRequestTrace(t.spans(), 1);
+    EXPECT_NE(out.find("no spans"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

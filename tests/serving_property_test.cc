@@ -6,12 +6,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
 #include <tuple>
 
 #include "core/serving.h"
 #include "core/strategies.h"
 #include "dc/platform.h"
 #include "model/generators.h"
+#include "obs/critical_path.h"
+#include "obs/span_tracer.h"
 #include "workload/request_generator.h"
 
 namespace {
@@ -140,24 +143,31 @@ TEST_P(ServingPropertyTest, DeterministicReplay)
 
 TEST_P(ServingPropertyTest, TraceSpansStayWithinRequestWindow)
 {
+    obs::SpanTracer tracer;
     core::ServingConfig config;
-    config.retain_spans = true;
+    config.tracer = &tracer;
     core::ServingSimulation sim(spec_, plan_, config);
     const auto stats = sim.replaySerial(
         std::vector<workload::Request>(requests_.begin(),
                                        requests_.begin() + 5));
+    std::map<std::uint64_t, const core::RequestStats *> by_id;
     for (const auto &s : stats) {
-        for (const auto &span : sim.collector().spansForRequest(s.id)) {
-            EXPECT_GE(span.begin, s.arrival);
-            EXPECT_LE(span.end, s.completion);
-            EXPECT_LE(span.begin, span.end);
-        }
-        for (const auto &rpc : sim.collector().rpcsForRequest(s.id)) {
-            EXPECT_GE(rpc.networkLatency(), 0);
-            EXPECT_GE(rpc.dispatched, s.arrival);
-            EXPECT_LE(rpc.completed, s.completion);
-        }
+        by_id[s.id] = &s;
+        // The bounding RPC's network share (outstanding minus remote
+        // E2E) is never negative.
+        EXPECT_GE(s.emb_network, 0);
     }
+    ASSERT_FALSE(tracer.spans().empty());
+    for (const auto &span : tracer.spans()) {
+        if (span.open() || span.cancelled())
+            continue;
+        const auto it = by_id.find(span.request_id);
+        ASSERT_NE(it, by_id.end());
+        EXPECT_GE(span.begin, it->second->arrival);
+        EXPECT_LE(span.begin, span.end);
+        EXPECT_LE(span.end, it->second->completion);
+    }
+    EXPECT_TRUE(obs::checkConservation(tracer.spans()).ok(stats.size()));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -14,40 +14,72 @@
  *    libstdc++ distribution objects over the same engine stream (the
  *    contract rng.h declares);
  *  - fleet::ParallelSweep produces byte-identical ledgers (simulation
- *    AND telemetry fingerprints) at thread counts {1, 2, 8}.
+ *    AND telemetry fingerprints) at thread counts {1, 2, 8};
+ *  - an untraced serving replay keeps no per-request or per-RPC state:
+ *    the live heap it leaves behind, net of the returned RequestStats,
+ *    does not grow with the number of requests (live bytes counted by
+ *    the same operator-new replacement).
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <random>
 #include <vector>
 
+#include "core/serving.h"
+#include "core/strategies.h"
 #include "fleet/parallel_sweep.h"
 #include "fleet/study.h"
+#include "model/generators.h"
 #include "sim/engine.h"
 #include "stats/mt64.h"
 #include "stats/rng.h"
+#include "workload/request_generator.h"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter. Every operator-new in this binary funnels
-// through here; tests read the counter around a region to prove the
-// region allocates nothing.
+// through here; tests read the counters around a region to prove the
+// region allocates nothing, or how many bytes it left live. Each block
+// carries its requested size in a header one max_align_t wide, so the
+// pointer handed out keeps malloc's alignment.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 std::atomic<std::uint64_t> g_news{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+
+constexpr std::size_t kHeader = alignof(std::max_align_t);
 
 void *
 countedAlloc(std::size_t n)
 {
     g_news.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
+    auto *base = static_cast<unsigned char *>(std::malloc(kHeader + n));
+    if (base == nullptr)
+        throw std::bad_alloc();
+    std::memcpy(base, &n, sizeof n);
+    g_live_bytes.fetch_add(static_cast<std::int64_t>(n),
+                           std::memory_order_relaxed);
+    return base + kHeader;
+}
+
+void
+countedFree(void *p)
+{
+    if (p == nullptr)
+        return;
+    auto *base = static_cast<unsigned char *>(p) - kHeader;
+    std::size_t n = 0;
+    std::memcpy(&n, base, sizeof n);
+    g_live_bytes.fetch_sub(static_cast<std::int64_t>(n),
+                           std::memory_order_relaxed);
+    std::free(base);
 }
 
 } // namespace
@@ -67,25 +99,25 @@ operator new[](std::size_t n)
 void
 operator delete(void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete[](void *p) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete(void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 void
 operator delete[](void *p, std::size_t) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 namespace {
@@ -291,6 +323,52 @@ TEST(SimPerf, ParallelSweepFingerprintsInvariantAcrossThreadCounts)
                 << "threads=" << threads << " cell=" << i;
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Untraced serving memory does not grow with the replay.
+// ---------------------------------------------------------------------------
+
+/** Heap bytes owned by a replay's returned RequestStats vector. */
+std::int64_t
+ownedBytes(const std::vector<core::RequestStats> &stats)
+{
+    std::size_t owned = stats.capacity() * sizeof(core::RequestStats);
+    for (const auto &s : stats)
+        owned += (s.shard_op_ns.capacity() + s.shard_net_op_ns.capacity()) *
+                 sizeof(double);
+    return static_cast<std::int64_t>(owned);
+}
+
+TEST(SimPerf, UntracedServingMemoryDoesNotGrowWithRequests)
+{
+    // Serial untraced DRM1 on 8 shards: ~56 RPCs per request, one
+    // request in flight. The same N requests are replayed once, then
+    // three more times, so every pool has reached its high-water mark
+    // after the first pass and any growth after that is state kept per
+    // request or per RPC.
+    constexpr std::size_t kN = 100;
+    const auto spec = model::makeDrm1();
+    workload::RequestGenerator gen(spec, workload::GeneratorConfig{3, 0.0});
+    const auto plan = core::makeCapacityBalanced(spec, 8);
+    const auto requests = gen.generate(kN);
+
+    const std::int64_t before = g_live_bytes.load();
+    core::ServingSimulation sim(spec, plan, core::ServingConfig{});
+    auto stats = sim.replaySerial(requests);
+    ASSERT_EQ(stats.size(), kN);
+    ASSERT_GT(stats.front().rpc_count, 0);
+    const std::int64_t after_n =
+        g_live_bytes.load() - before - ownedBytes(stats);
+    for (int pass = 0; pass < 3; ++pass)
+        stats = sim.replaySerial(requests);
+    const std::int64_t after_4n =
+        g_live_bytes.load() - before - ownedBytes(stats);
+    // A kept ~80 B record per RPC would add ~1.3 MB over the 3N
+    // extra requests.
+    EXPECT_LE(after_4n - after_n, 0)
+        << "retained " << after_n << " B after " << kN << " requests, "
+        << after_4n << " B after " << 4 * kN;
 }
 
 } // namespace
