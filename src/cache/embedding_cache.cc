@@ -4,9 +4,12 @@
 #include <cassert>
 #include <list>
 #include <map>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
+#include "stats/flat_hash.h"
 #include "stats/hash.h"
 
 namespace dri::cache {
@@ -87,7 +90,11 @@ class CacheBase : public EmbeddingCache
 };
 
 // ---------------------------------------------------------------------------
-// LRU: one recency list, evict the tail.
+// LRU: one recency list, evict the tail. The list is index-linked through
+// a node vector (freed nodes are recycled), and the key index is an
+// open-addressing map, so a replay allocates only when the resident set
+// reaches a new high-water mark and a hit touches two flat arrays instead
+// of chasing list and hash-bucket nodes.
 // ---------------------------------------------------------------------------
 class LruCache : public CacheBase
 {
@@ -99,23 +106,27 @@ class LruCache : public CacheBase
     {
         ++stats_.accesses;
         const Key key{table, row};
-        auto it = index_.find(key);
-        if (it != index_.end()) {
+        if (const std::uint32_t *node = index_.find(key)) {
             ++stats_.hits;
-            lru_.splice(lru_.begin(), lru_, it->second);
+            moveToFront(*node);
             return true;
         }
         ++stats_.misses;
         if (row_bytes > capacity_)
             return false; // unadmittable: larger than the whole budget
         while (used_ + row_bytes > capacity_) {
-            const Entry &victim = lru_.back();
-            index_.erase(victim.key);
-            evicted(victim.key, victim.bytes);
-            lru_.pop_back();
+            const std::uint32_t victim = tail_;
+            const Node dead = nodes_[victim];
+            unlink(victim);
+            release(victim);
+            index_.erase(dead.key);
+            evicted(dead.key, dead.bytes);
         }
-        lru_.push_front(Entry{key, row_bytes});
-        index_[key] = lru_.begin();
+        const std::uint32_t node = acquire();
+        nodes_[node].key = key;
+        nodes_[node].bytes = row_bytes;
+        pushFront(node);
+        index_.insert(key, node);
         used_ += row_bytes;
         return false;
     }
@@ -123,19 +134,83 @@ class LruCache : public CacheBase
     bool
     contains(int table, std::int64_t row) const override
     {
-        return index_.count(Key{table, row}) > 0;
+        return index_.find(Key{table, row}) != nullptr;
     }
 
     std::size_t residentRows() const override { return index_.size(); }
 
   private:
-    struct Entry
+    static constexpr std::uint32_t kNil = 0xffffffffu;
+
+    struct Node
     {
         Key key;
-        std::int64_t bytes;
+        std::int64_t bytes = 0;
+        std::uint32_t prev = kNil; //!< toward the MRU end
+        std::uint32_t next = kNil; //!< toward the LRU end; free-list link
     };
-    std::list<Entry> lru_; //!< front = most recently used
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
+
+    std::uint32_t
+    acquire()
+    {
+        if (free_ != kNil) {
+            const std::uint32_t n = free_;
+            free_ = nodes_[n].next;
+            return n;
+        }
+        if (nodes_.size() >= kNil)
+            throw std::length_error("LruCache: resident rows exceed 2^32-1");
+        nodes_.emplace_back();
+        return static_cast<std::uint32_t>(nodes_.size() - 1);
+    }
+
+    void
+    release(std::uint32_t n)
+    {
+        nodes_[n].next = free_;
+        free_ = n;
+    }
+
+    void
+    unlink(std::uint32_t n)
+    {
+        Node &node = nodes_[n];
+        if (node.prev != kNil)
+            nodes_[node.prev].next = node.next;
+        else
+            head_ = node.next;
+        if (node.next != kNil)
+            nodes_[node.next].prev = node.prev;
+        else
+            tail_ = node.prev;
+    }
+
+    void
+    pushFront(std::uint32_t n)
+    {
+        nodes_[n].prev = kNil;
+        nodes_[n].next = head_;
+        if (head_ != kNil)
+            nodes_[head_].prev = n;
+        else
+            tail_ = n;
+        head_ = n;
+    }
+
+    void
+    moveToFront(std::uint32_t n)
+    {
+        if (n == head_)
+            return;
+        unlink(n);
+        pushFront(n);
+    }
+
+    std::vector<Node> nodes_;
+    std::uint32_t head_ = kNil; //!< most recently used
+    std::uint32_t tail_ = kNil; //!< least recently used: the next victim
+    std::uint32_t free_ = kNil; //!< recycled nodes, linked through next
+    stats::FlatHashMap<Key, std::uint32_t, KeyHash> index_;
 };
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 #include "cache/tiered_sim.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace dri::cache {
 
@@ -21,62 +21,55 @@ TieredCacheSim::TieredCacheSim(const model::ModelSpec &spec,
 CacheSimResult
 TieredCacheSim::replay(const workload::AccessTrace &trace)
 {
-    CacheSimResult result;
-    result.per_table.resize(row_bytes_.size());
+    begin(trace.size());
+    for (const auto &rec : trace.records())
+        access(rec);
+    return finish();
+}
 
-    // Attribute evictions to the table losing the row.
-    std::vector<std::int64_t> evictions(row_bytes_.size(), 0);
-    cache_->setEvictionHook(
-        [&evictions](int table, std::int64_t, std::int64_t) {
-            if (table >= 0 &&
-                static_cast<std::size_t>(table) < evictions.size())
-                ++evictions[static_cast<std::size_t>(table)];
-        });
+void
+TieredCacheSim::begin(std::size_t n)
+{
+    result_ = CacheSimResult{};
+    result_.per_table.resize(row_bytes_.size());
+    evictions_.assign(row_bytes_.size(), 0);
+    cache_->setEvictionHook([this](int table, std::int64_t, std::int64_t) {
+        if (table >= 0 && static_cast<std::size_t>(table) < evictions_.size())
+            ++evictions_[static_cast<std::size_t>(table)];
+    });
 
-    const auto &records = trace.records();
     const double clamped_warmup =
         std::clamp(config_.warmup_fraction, 0.0, 1.0);
-    const std::size_t warm = static_cast<std::size_t>(
-        std::llround(clamped_warmup * static_cast<double>(records.size())));
-
+    n_ = n;
+    warm_ = static_cast<std::size_t>(
+        std::llround(clamped_warmup * static_cast<double>(n)));
+    pos_ = 0;
     cache_->resetStats();
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const auto &rec = records[i];
-        if (i == warm && i > 0) {
-            // Warmup boundary: discard counters, keep the resident set.
-            cache_->resetStats();
-            std::fill(evictions.begin(), evictions.end(), 0);
-        }
-        if (rec.table_id < 0 ||
-            static_cast<std::size_t>(rec.table_id) >= row_bytes_.size())
-            continue; // trace rows for tables this model does not define
-        const auto t = static_cast<std::size_t>(rec.table_id);
-        const bool hit = cache_->access(rec.table_id, rec.row, row_bytes_[t]);
-        if (i < warm)
-            continue; // warm the resident set without counting
-        auto &ts = result.per_table[t];
-        ++ts.accesses;
-        if (hit)
-            ++ts.hits;
-        else
-            ++ts.misses;
-    }
+}
+
+CacheSimResult
+TieredCacheSim::finish()
+{
     cache_->setEvictionHook(nullptr);
-    if (warm >= records.size()) {
+    if (pos_ != n_)
+        throw std::logic_error(
+            "TieredCacheSim::finish: stream length differs from begin(n)");
+    if (warm_ >= n_) {
         // The whole trace was warmup: the boundary reset never fired, so
         // discard the warmup-window evictions too — the post-warmup
         // window is empty and must report all-zero statistics.
-        std::fill(evictions.begin(), evictions.end(), 0);
+        std::fill(evictions_.begin(), evictions_.end(), 0);
     }
 
+    CacheSimResult result = std::move(result_);
     for (std::size_t t = 0; t < result.per_table.size(); ++t) {
-        result.per_table[t].evictions = evictions[t];
+        result.per_table[t].evictions = evictions_[t];
         result.total.merge(result.per_table[t]);
     }
     // Admission vetoes are tracked by the (possibly wrapped) cache, not
     // per table; counters were reset at the warmup boundary, so this is
     // the post-warmup figure (zero when the whole trace was warmup).
-    if (warm < records.size())
+    if (warm_ < n_)
         result.total.admission_rejects = cache_->stats().admission_rejects;
     return result;
 }

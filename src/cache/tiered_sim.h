@@ -10,6 +10,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -59,17 +60,66 @@ struct CacheSimResult
 };
 
 /**
- * Replays access traces against one cache instance. The cache's resident
- * set persists across replay() calls (counters reset each call), so a
- * trace can be replayed twice for an explicit warm-start measurement.
+ * Replays access streams against one cache instance. The cache's resident
+ * set persists across replays (counters reset each replay), so a trace
+ * can be replayed twice for an explicit warm-start measurement.
+ *
+ * A replay is begin(n), n calls to access(), then finish(); replay() is
+ * that loop over a stored trace. The incremental form lets a caller feed
+ * a stream it never materializes — n, the stream's length, is all the
+ * warm-up boundary needs up front.
  */
 class TieredCacheSim
 {
   public:
     TieredCacheSim(const model::ModelSpec &spec, TieredCacheConfig config);
+    /** Pinned: a replay in progress has the cache's eviction hook
+     *  holding `this`. */
+    TieredCacheSim(const TieredCacheSim &) = delete;
+    TieredCacheSim &operator=(const TieredCacheSim &) = delete;
 
     /** Replay the trace; returns post-warmup per-table statistics. */
     CacheSimResult replay(const workload::AccessTrace &trace);
+
+    /**
+     * Start a replay of an n-record stream: the first
+     * round(warmup_fraction * n) records warm the cache uncounted.
+     */
+    void begin(std::size_t n);
+
+    /**
+     * Feed the stream's next record. Records naming tables outside the
+     * model are skipped but still advance the stream position.
+     */
+    void
+    access(const workload::AccessRecord &rec)
+    {
+        const std::size_t i = pos_++;
+        if (i == warm_ && i > 0) {
+            // Warmup boundary: discard counters, keep the resident set.
+            cache_->resetStats();
+            std::fill(evictions_.begin(), evictions_.end(), 0);
+        }
+        if (rec.table_id < 0 ||
+            static_cast<std::size_t>(rec.table_id) >= row_bytes_.size())
+            return; // trace rows for tables this model does not define
+        const auto t = static_cast<std::size_t>(rec.table_id);
+        const bool hit = cache_->access(rec.table_id, rec.row, row_bytes_[t]);
+        if (i < warm_)
+            return; // warm the resident set without counting
+        auto &ts = result_.per_table[t];
+        ++ts.accesses;
+        if (hit)
+            ++ts.hits;
+        else
+            ++ts.misses;
+    }
+
+    /**
+     * End the replay begun by begin(); returns post-warmup statistics.
+     * Throws std::logic_error unless exactly n records were fed.
+     */
+    CacheSimResult finish();
 
     const EmbeddingCache &cache() const { return *cache_; }
 
@@ -78,6 +128,14 @@ class TieredCacheSim
     /** Stored row bytes per table id, copied from the spec. */
     std::vector<std::int64_t> row_bytes_;
     std::unique_ptr<EmbeddingCache> cache_;
+
+    // State of the replay in progress.
+    CacheSimResult result_;
+    /** Evictions attributed to the table losing the row. */
+    std::vector<std::int64_t> evictions_;
+    std::size_t n_ = 0;
+    std::size_t warm_ = 0;
+    std::size_t pos_ = 0;
 };
 
 /**

@@ -9,11 +9,12 @@
  * capacity-balanced 4-shard plan — equal bytes per shard, deliberately
  * unequal compute, which is what makes per-shard replica vectors beat
  * uniform scaling. The pooled-result cache is on and per-shard row-cache
- * models are measured from a recorded trace slice, so reconfiguration
- * penalties (cold caches, result-cache invalidation) have teeth. Idle
- * power is set to 50% of peak — the non-power-proportionality that makes
- * parked machines the dominant TCO waste the autoscaler exists to
- * reclaim.
+ * models are measured by replaying each shard's slice of a generated
+ * access stream (the streaming core::buildShardCacheModels: two passes,
+ * no stored trace), so reconfiguration penalties (cold caches,
+ * result-cache invalidation) have teeth. Idle power is set to 50% of
+ * peak — the non-power-proportionality that makes parked machines the
+ * dominant TCO waste the autoscaler exists to reclaim.
  */
 #pragma once
 

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 namespace dri::stats {
 
@@ -39,7 +41,10 @@ BoundedParetoSampler::sample(Rng &rng) const
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s)
 {
-    assert(n > 0);
+    if (n == 0)
+        throw std::invalid_argument("ZipfSampler: n must be > 0");
+    if (n > std::numeric_limits<std::uint32_t>::max())
+        throw std::invalid_argument("ZipfSampler: n exceeds 2^32 - 1");
     cdf_.resize(n);
     double acc = 0.0;
     for (std::size_t k = 0; k < n; ++k) {
@@ -48,22 +53,25 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s)
     }
     for (auto &v : cdf_)
         v /= acc;
-}
 
-std::size_t
-ZipfSampler::sample(Rng &rng) const
-{
-    const double u = rng.uniform();
-    // Binary search for the first cdf entry >= u.
-    std::size_t lo = 0, hi = cdf_.size() - 1;
-    while (lo < hi) {
-        const std::size_t mid = (lo + hi) / 2;
-        if (cdf_[mid] < u)
-            lo = mid + 1;
-        else
-            hi = mid;
+    // Up to eight buckets per rank, rounded up to a power of two so that
+    // both j / m and u * m are exact: the forward scan from a bucket's
+    // cut point then rarely takes a step, even in the tail where ranks
+    // are densest. Past 32K buckets the guide stops over-allocating and
+    // keeps one bucket per rank.
+    constexpr std::size_t kDenseGuide = std::size_t{1} << 15;
+    std::size_t m = 1;
+    while (m < n || (m < 8 * n && m < kDenseGuide))
+        m <<= 1;
+    guide_.resize(m);
+    guide_scale_ = static_cast<double>(m);
+    std::size_t k = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+        const double lo = static_cast<double>(j) / guide_scale_;
+        while (k < n - 1 && cdf_[k] < lo)
+            ++k;
+        guide_[j] = static_cast<std::uint32_t>(k);
     }
-    return lo;
 }
 
 double

@@ -10,6 +10,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -73,20 +74,52 @@ class BoundedParetoSampler
 /**
  * Zipf sampler over ranks 1..n with exponent s, via inverse-CDF on the
  * precomputed normalization. Used for skewed embedding-row popularity.
+ *
+ * The inverse CDF is an exact guide-table (cut-point) search: bucket j
+ * of a power-of-two guide holds the first rank whose cdf reaches j / m,
+ * so for u in bucket floor(u * m) — exact, m being a power of two — the
+ * answer is at or after guide[j], and a short forward scan finds the
+ * first cdf entry >= u. That is the rank a binary search over the cdf
+ * returns, for every u, at O(1) expected cost instead of log2(n) steps.
  */
 class ZipfSampler
 {
   public:
+    /** Throws std::invalid_argument when n == 0. */
     ZipfSampler(std::size_t n, double s);
 
     /** Returns a rank in [0, n). Rank 0 is the most popular. */
-    std::size_t sample(Rng &rng) const;
+    std::size_t
+    sample(Rng &rng) const
+    {
+        return rankOf(rng.uniform());
+    }
+
+    /** The rank u in [0, 1) maps to: the first k with cdf[k] >= u. */
+    std::size_t
+    rankOf(double u) const
+    {
+        // u * m is exact; the clamp only keeps a u outside [0, 1) (or
+        // NaN) from indexing past the guide.
+        const double b = (u > 0.0 ? std::min(u, 1.0) : 0.0) * guide_scale_;
+        std::size_t k = guide_[std::min(static_cast<std::size_t>(b),
+                                        guide_.size() - 1)];
+        const std::size_t last = cdf_.size() - 1;
+        while (k < last && cdf_[k] < u)
+            ++k;
+        return k;
+    }
 
     std::size_t n() const { return cdf_.size(); }
     double s() const { return s_; }
+    /** Normalized cumulative mass: cdf()[k] = P(rank <= k). */
+    const std::vector<double> &cdf() const { return cdf_; }
 
   private:
     std::vector<double> cdf_;
+    /** guide_[j] = first k with cdf_[k] >= j / guide_.size(). */
+    std::vector<std::uint32_t> guide_;
+    double guide_scale_ = 0.0;
     double s_;
 };
 

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <utility>
 #include <vector>
 
 namespace dri::stats {
@@ -31,6 +32,12 @@ class FlatHashMap
     V *
     find(const K &key)
     {
+        return const_cast<V *>(std::as_const(*this).find(key));
+    }
+
+    const V *
+    find(const K &key) const
+    {
         if (slots_.empty())
             return nullptr;
         for (std::size_t i = bucketOf(key);; i = (i + 1) & mask_) {
@@ -41,8 +48,8 @@ class FlatHashMap
         }
     }
 
-    /** Insert-or-assign. */
-    void
+    /** Insert-or-assign; returns whether the key was new. */
+    bool
     insert(const K &key, V val)
     {
         if (slots_.empty() || (size_ + 1) * 10 > slots_.size() * 7)
@@ -53,11 +60,11 @@ class FlatHashMap
                 slots_[i].key = key;
                 slots_[i].val = val;
                 ++size_;
-                return;
+                return true;
             }
             if (slots_[i].key == key) {
                 slots_[i].val = val;
-                return;
+                return false;
             }
         }
     }

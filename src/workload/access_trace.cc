@@ -1,15 +1,11 @@
 #include "workload/access_trace.h"
 
 #include <algorithm>
-#include <cassert>
 #include <istream>
 #include <map>
 #include <ostream>
 #include <set>
 #include <sstream>
-#include <unordered_set>
-
-#include "stats/distributions.h"
 
 namespace dri::workload {
 
@@ -23,7 +19,8 @@ AccessTrace::write(std::ostream &os) const
 bool
 AccessTrace::read(std::istream &is, AccessTrace *out)
 {
-    assert(out);
+    if (out == nullptr)
+        throw std::invalid_argument("AccessTrace::read: null output trace");
     out->records_.clear();
     std::string line;
     while (std::getline(is, line)) {
@@ -52,7 +49,8 @@ AccessTrace::accessCounts(std::size_t num_tables) const
 std::vector<std::int64_t>
 AccessTrace::workingSetCurve(int table_id, std::size_t stride) const
 {
-    assert(stride > 0);
+    if (stride == 0)
+        throw std::invalid_argument("AccessTrace::workingSetCurve: stride 0");
     std::vector<std::int64_t> curve;
     std::set<std::int64_t> seen;
     std::size_t accesses = 0;
@@ -97,30 +95,13 @@ recordTrace(const model::ModelSpec &spec,
             std::uint64_t seed)
 {
     AccessTrace trace;
-    stats::Rng rng(seed);
-
-    // One Zipf sampler per table over a bounded popularity universe: rank
-    // r maps to a deterministic pseudo-random row so popular rows are
-    // stable across requests.
-    constexpr std::size_t kRanks = 4096;
-    stats::ZipfSampler zipf(kRanks, popularity_skew);
-
-    for (const auto &req : requests) {
-        assert(req.table_lookups.size() == spec.tables.size());
-        for (std::size_t t = 0; t < spec.tables.size(); ++t) {
-            const auto &table = spec.tables[t];
-            for (std::int32_t k = 0; k < req.table_lookups[t]; ++k) {
-                const std::size_t rank = zipf.sample(rng);
-                // Spread ranks over the table's logical rows via a fixed
-                // multiplicative hash (same rank -> same row).
-                const std::int64_t row = static_cast<std::int64_t>(
-                    (static_cast<std::uint64_t>(rank + 1) *
-                     0x9e3779b97f4a7c15ULL) %
-                    static_cast<std::uint64_t>(table.rows));
-                trace.add(AccessRecord{req.id, static_cast<int>(t), row});
-            }
-        }
-    }
+    std::int64_t lookups = 0;
+    for (const auto &req : requests)
+        lookups += req.totalLookups();
+    trace.reserve(
+        static_cast<std::size_t>(std::max<std::int64_t>(0, lookups)));
+    forEachAccess(spec, requests, popularity_skew, seed,
+                  [&trace](const AccessRecord &rec) { trace.add(rec); });
     return trace;
 }
 
@@ -128,8 +109,10 @@ AccessTrace
 synthesizeMixedTrace(const model::ModelSpec &spec,
                      const MixedTraceConfig &config)
 {
-    assert(config.table_id >= 0 &&
-           static_cast<std::size_t>(config.table_id) < spec.tables.size());
+    if (config.table_id < 0 ||
+        static_cast<std::size_t>(config.table_id) >= spec.tables.size())
+        throw std::invalid_argument(
+            "synthesizeMixedTrace: table_id outside the spec");
     const auto &table =
         spec.tables[static_cast<std::size_t>(config.table_id)];
     // Disjoint row ranges: the drifting recency window walks the lower
@@ -151,11 +134,7 @@ synthesizeMixedTrace(const model::ModelSpec &spec,
                 0, static_cast<std::int64_t>(config.window_rows) - 1);
             row = (base + offset) % half;
         } else {
-            const std::size_t rank = zipf.sample(rng);
-            row = half + static_cast<std::int64_t>(
-                             (static_cast<std::uint64_t>(rank + 1) *
-                              0x9e3779b97f4a7c15ULL) %
-                             static_cast<std::uint64_t>(upper));
+            row = half + rowOfRank(zipf.sample(rng), upper);
         }
         trace.add(AccessRecord{static_cast<std::uint64_t>(i),
                                config.table_id, row});
@@ -163,23 +142,21 @@ synthesizeMixedTrace(const model::ModelSpec &spec,
     return trace;
 }
 
+FootprintAccumulator::FootprintAccumulator(const model::ModelSpec &spec)
+    : rows_(spec.tables.size())
+{
+    row_bytes_.reserve(spec.tables.size());
+    for (const auto &t : spec.tables)
+        row_bytes_.push_back(t.storedRowBytes());
+}
+
 TraceFootprint
 traceFootprint(const model::ModelSpec &spec, const AccessTrace &trace)
 {
-    std::vector<std::unordered_set<std::int64_t>> distinct(
-        spec.tables.size());
+    FootprintAccumulator acc(spec);
     for (const auto &rec : trace.records())
-        if (rec.table_id >= 0 &&
-            static_cast<std::size_t>(rec.table_id) < distinct.size())
-            distinct[static_cast<std::size_t>(rec.table_id)].insert(rec.row);
-
-    TraceFootprint footprint;
-    for (std::size_t t = 0; t < distinct.size(); ++t) {
-        const auto rows = static_cast<std::int64_t>(distinct[t].size());
-        footprint.distinct_rows += rows;
-        footprint.universe_bytes += rows * spec.tables[t].storedRowBytes();
-    }
-    return footprint;
+        acc.add(rec);
+    return acc.footprint();
 }
 
 } // namespace dri::workload

@@ -6,7 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <stdexcept>
+#include <utility>
 
 #include "model/generators.h"
 #include "workload/access_trace.h"
@@ -116,6 +119,93 @@ TEST(AccessTrace, WorkingSetCurveConcaveUnderSkew)
     const auto early = curve[1] - curve[0];
     const auto late = curve[curve.size() - 1] - curve[curve.size() - 2];
     EXPECT_LE(late, early);
+}
+
+TEST(AccessTrace, ForEachAccessGeneratesTheRecordedStream)
+{
+    const auto spec = smallSpec();
+    workload::RequestGenerator gen(spec,
+                                   workload::GeneratorConfig{21, 0.0});
+    const auto requests = gen.generate(25);
+    const auto trace = workload::recordTrace(spec, requests, 0.9, 5);
+
+    // Twice: the stream is a pure function of its arguments.
+    for (int pass = 0; pass < 2; ++pass) {
+        std::size_t i = 0;
+        workload::forEachAccess(
+            spec, requests, 0.9, 5, [&](const workload::AccessRecord &rec) {
+                ASSERT_LT(i, trace.size());
+                const auto &want = trace.records()[i++];
+                EXPECT_EQ(rec.request_id, want.request_id);
+                EXPECT_EQ(rec.table_id, want.table_id);
+                EXPECT_EQ(rec.row, want.row);
+            });
+        EXPECT_EQ(i, trace.size()) << "pass " << pass;
+    }
+}
+
+TEST(AccessTrace, FootprintAccumulatorCountsEachRowOnce)
+{
+    const auto spec = smallSpec();
+    workload::FootprintAccumulator acc(spec);
+    const std::int64_t row_bytes = spec.tables[1].storedRowBytes();
+    EXPECT_EQ(acc.add({0, 1, 42}), row_bytes);
+    EXPECT_EQ(acc.add({1, 1, 42}), 0);         // repeat
+    EXPECT_EQ(acc.add({2, 2, 42}), row_bytes); // same row, other table
+    EXPECT_EQ(acc.add({3, 7, 1}), 0);          // table outside the spec
+    EXPECT_EQ(acc.add({4, -1, 1}), 0);
+    EXPECT_EQ(acc.footprint().distinct_rows, 2);
+    EXPECT_EQ(acc.footprint().universe_bytes, 2 * row_bytes);
+
+    const auto trace = makeTrace(spec, 40);
+    std::set<std::pair<int, std::int64_t>> distinct;
+    for (const auto &r : trace.records())
+        distinct.insert({r.table_id, r.row});
+    const auto fp = workload::traceFootprint(spec, trace);
+    EXPECT_EQ(fp.distinct_rows, static_cast<std::int64_t>(distinct.size()));
+    EXPECT_EQ(fp.universe_bytes, fp.distinct_rows * row_bytes);
+}
+
+// Bad input is rejected by exceptions, not assert()s, so these hold in
+// the Release build as well.
+
+TEST(AccessTrace, WorkingSetCurveRejectsZeroStride)
+{
+    const auto spec = smallSpec();
+    const auto trace = makeTrace(spec, 5);
+    EXPECT_THROW(trace.workingSetCurve(0, 0), std::invalid_argument);
+}
+
+TEST(AccessTrace, ReadRejectsNullOutput)
+{
+    std::stringstream in("1 0 5\n");
+    EXPECT_THROW(AccessTrace::read(in, nullptr), std::invalid_argument);
+}
+
+TEST(AccessTrace, MixedTraceRejectsTableOutsideSpec)
+{
+    const auto spec = smallSpec();
+    workload::MixedTraceConfig config;
+    config.accesses = 10;
+    for (const int table : {-1, 3, 1000}) {
+        config.table_id = table;
+        EXPECT_THROW(workload::synthesizeMixedTrace(spec, config),
+                     std::invalid_argument)
+            << "table " << table;
+    }
+    config.table_id = 2;
+    EXPECT_EQ(workload::synthesizeMixedTrace(spec, config).size(), 10u);
+}
+
+TEST(AccessTrace, RecordRejectsRequestsShapedForAnotherSpec)
+{
+    const auto spec = smallSpec();
+    workload::RequestGenerator gen(spec,
+                                   workload::GeneratorConfig{21, 0.0});
+    auto requests = gen.generate(2);
+    requests[1].table_lookups.pop_back();
+    EXPECT_THROW(workload::recordTrace(spec, requests, 0.9, 5),
+                 std::invalid_argument);
 }
 
 TEST(AccessTrace, TopRowCoverageGrowsWithSkew)

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "stats/distributions.h"
 #include "stats/histogram.h"
@@ -141,6 +143,66 @@ TEST(Zipf, AllRanksReachable)
         ++counts[s.sample(rng)];
     for (int c : counts)
         EXPECT_GT(c, 0);
+}
+
+/** Reference inverse CDF: binary search for the first cdf entry >= u. */
+std::size_t
+referenceRank(const std::vector<double> &cdf, double u)
+{
+    std::size_t lo = 0, hi = cdf.size() - 1;
+    while (lo < hi) {
+        const std::size_t mid = (lo + hi) / 2;
+        if (cdf[mid] < u)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+TEST(Zipf, GuideTableMatchesBinarySearch)
+{
+    std::int64_t draws = 0;
+    for (const double skew : {0.5, 0.8, 1.2}) {
+        for (const std::size_t n : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{4096}, std::size_t{5000}}) {
+            const ZipfSampler zipf(n, skew);
+            const auto &cdf = zipf.cdf();
+            ASSERT_EQ(cdf.size(), n);
+
+            // Seeded draws: the sampled rank is the reference rank of
+            // the very same uniform.
+            Rng sampled(0x5eed + n), reference(0x5eed + n);
+            for (int i = 0; i < 100000; ++i, ++draws) {
+                const std::size_t got = zipf.sample(sampled);
+                ASSERT_EQ(got, referenceRank(cdf, reference.uniform()))
+                    << "skew=" << skew << " n=" << n << " i=" << i;
+            }
+
+            // Every cut point and its neighbours: u exactly on a cdf
+            // value, one ulp either side.
+            for (std::size_t k = 0; k < n; ++k) {
+                for (const double u :
+                     {std::nextafter(cdf[k], 0.0), cdf[k],
+                      std::nextafter(cdf[k], 2.0)}) {
+                    ASSERT_EQ(zipf.rankOf(u), referenceRank(cdf, u))
+                        << "skew=" << skew << " n=" << n << " k=" << k
+                        << " u=" << u;
+                }
+            }
+            // The edges of [0, 1) and the largest double below 1.
+            for (const double u : {0.0, std::nextafter(0.0, 1.0),
+                                   std::nextafter(1.0, 0.0)})
+                EXPECT_EQ(zipf.rankOf(u), referenceRank(cdf, u));
+        }
+    }
+    EXPECT_GE(draws, 1000000);
+}
+
+TEST(Zipf, RejectsEmptySupport)
+{
+    EXPECT_THROW(static_cast<void>(ZipfSampler(0, 0.8)),
+                 std::invalid_argument);
 }
 
 TEST(Poisson, MeanGapMatchesRate)

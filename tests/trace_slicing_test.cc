@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/strategies.h"
 #include "core/trace_slicing.h"
@@ -178,6 +180,147 @@ TEST(TraceSlicing, SkewedShardingDivergesUnderEqualShardBudgets)
     EXPECT_TRUE(sliced.models[0]->hasTable(0));
     EXPECT_TRUE(sliced.models[1]->hasTable(1));
     EXPECT_FALSE(sliced.models[0]->hasTable(1));
+}
+
+/**
+ * Oracle for the streaming build: slice the stored trace, take each
+ * slice's footprint, replay each slice through its own cache.
+ */
+core::ShardCacheModels
+referenceSlicedBuild(const model::ModelSpec &spec,
+                     const core::ShardingPlan &plan,
+                     const workload::AccessTrace &trace,
+                     const core::ShardCacheOptions &options)
+{
+    core::ShardCacheModels out;
+    for (const auto &slice : core::sliceTraceByShard(plan, trace)) {
+        const std::int64_t universe =
+            workload::traceFootprint(spec, slice).universe_bytes;
+        cache::TieredCacheConfig cfg;
+        cfg.policy = options.policy;
+        cfg.capacity_bytes =
+            options.capacity_bytes_per_shard > 0
+                ? options.capacity_bytes_per_shard
+                : static_cast<std::int64_t>(std::llround(
+                      options.capacity_fraction *
+                      static_cast<double>(universe)));
+        cfg.warmup_fraction = options.warmup_fraction;
+        cfg.admission = options.admission;
+        cfg.tinylfu = options.tinylfu;
+        cache::TieredCacheSim sim(spec, cfg);
+        out.results.push_back(sim.replay(slice));
+        out.slice_universe_bytes.push_back(universe);
+    }
+    return out;
+}
+
+void
+expectSameStats(const cache::CacheStats &got, const cache::CacheStats &want,
+                const std::string &where)
+{
+    EXPECT_EQ(got.accesses, want.accesses) << where;
+    EXPECT_EQ(got.hits, want.hits) << where;
+    EXPECT_EQ(got.misses, want.misses) << where;
+    EXPECT_EQ(got.evictions, want.evictions) << where;
+    EXPECT_EQ(got.admission_rejects, want.admission_rejects) << where;
+}
+
+void
+expectSameModels(const core::ShardCacheModels &got,
+                 const core::ShardCacheModels &want, const std::string &where)
+{
+    ASSERT_EQ(got.results.size(), want.results.size()) << where;
+    EXPECT_EQ(got.models.size(), got.results.size()) << where;
+    EXPECT_EQ(got.slice_universe_bytes, want.slice_universe_bytes) << where;
+    for (std::size_t s = 0; s < got.results.size(); ++s) {
+        const auto &g = got.results[s];
+        const auto &w = want.results[s];
+        const std::string at = where + " shard " + std::to_string(s);
+        expectSameStats(g.total, w.total, at);
+        ASSERT_EQ(g.per_table.size(), w.per_table.size()) << at;
+        for (std::size_t t = 0; t < g.per_table.size(); ++t)
+            expectSameStats(g.per_table[t], w.per_table[t],
+                            at + " table " + std::to_string(t));
+    }
+}
+
+/**
+ * The streaming build (accesses generated twice, never stored) equals
+ * the build over the recorded trace, and both equal the materialising
+ * slice-then-replay oracle — per shard and per table — across plan
+ * shapes (whole tables, row-split tables, singular), eviction policies
+ * and admission filters.
+ */
+TEST(TraceSlicing, StreamingBuildEqualsMaterialisedSlices)
+{
+    const auto spec = model::makeShardedCacheStudySpec();
+    workload::RequestGenerator gen(spec, workload::GeneratorConfig{23});
+    const auto requests = gen.generate(200);
+    const double skew = 0.8;
+    const std::uint64_t seed = 0x5eed;
+    const auto trace = workload::recordTrace(spec, requests, skew, seed);
+
+    std::vector<core::TableAssignment> split;
+    for (int t = 0; t < 8; ++t) {
+        core::TableAssignment a;
+        a.table_id = t;
+        // Table 0 split 3 ways, table 5 split 2 ways, the rest whole.
+        a.shards = t == 0   ? std::vector<int>{0, 1, 2}
+                   : t == 5 ? std::vector<int>{2, 0}
+                            : std::vector<int>{t % 3};
+        split.push_back(a);
+    }
+    const std::vector<core::ShardingPlan> plans = {
+        core::makeCapacityBalanced(spec, 4),
+        core::ShardingPlan("manual-split", 3, split),
+        core::makeSingular(spec),
+    };
+
+    for (const auto &plan : plans) {
+        for (const auto policy : {cache::Policy::Lru, cache::Policy::Arc,
+                                  cache::Policy::TwoQueue}) {
+            for (const auto admission :
+                 {cache::Admission::None, cache::Admission::TinyLfu}) {
+                core::ShardCacheOptions opt;
+                opt.policy = policy;
+                opt.admission = admission;
+                opt.capacity_fraction = 0.15;
+                opt.tinylfu.counters = 1 << 12;
+                const std::string where =
+                    plan.label() + " " + cache::policyName(policy) + " " +
+                    cache::admissionName(admission);
+
+                const auto oracle =
+                    referenceSlicedBuild(spec, plan, trace, opt);
+                expectSameModels(
+                    core::buildShardCacheModels(spec, plan, trace, opt),
+                    oracle, where + " (trace)");
+                expectSameModels(core::buildShardCacheModels(
+                                     spec, plan, requests, skew, seed, opt),
+                                 oracle, where + " (stream)");
+            }
+        }
+    }
+}
+
+/** Machine-shaped budgets and a fully-warmup window take the same path. */
+TEST(TraceSlicing, StreamingBuildEqualsMaterialisedSlicesAtFixedBudgets)
+{
+    const auto spec = model::makeShardedCacheStudySpec();
+    workload::RequestGenerator gen(spec, workload::GeneratorConfig{29});
+    const auto requests = gen.generate(120);
+    const auto trace = workload::recordTrace(spec, requests, 0.7, 3);
+    const auto plan = core::makeCapacityBalanced(spec, 2);
+
+    for (const double warmup : {0.0, 0.3, 1.0}) {
+        core::ShardCacheOptions opt;
+        opt.capacity_bytes_per_shard = 64 * 1024;
+        opt.warmup_fraction = warmup;
+        expectSameModels(
+            core::buildShardCacheModels(spec, plan, requests, 0.7, 3, opt),
+            referenceSlicedBuild(spec, plan, trace, opt),
+            "warmup " + std::to_string(warmup));
+    }
 }
 
 } // namespace
