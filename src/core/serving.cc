@@ -248,9 +248,7 @@ struct ServingSimulation::Impl
         shard_trackers.reserve(n_shards);
         for (std::size_t s = 0; s < n_shards; ++s)
             shard_trackers.emplace_back(cfg.hedge.window);
-        shard_primary_rpcs.assign(n_shards, 0);
-        shard_hedges.assign(n_shards, 0);
-        shard_hedge_wins.assign(n_shards, 0);
+        shard_hedge_stats.assign(n_shards, rpc::HedgeStats{});
         const auto pool = [&](const dc::Platform &platform, int threads) {
             const int t = threads > 0 ? std::min(threads, platform.cores)
                                       : platform.cores;
@@ -328,18 +326,13 @@ struct ServingSimulation::Impl
      * honest latencies then stop inflating every other shard's deadline.
      */
     std::vector<rpc::LatencyTracker> shard_trackers;
-    std::uint64_t primary_rpcs = 0;
-    std::uint64_t hedges_launched = 0;
-    std::uint64_t hedge_wins = 0;
-    std::uint64_t hedge_losses = 0;
-    std::uint64_t hedge_cancelled = 0;
-    std::uint64_t hedge_suppressed = 0;
-    /** Per-shard hedge accounting (always tracked; cheap). */
-    std::vector<std::uint64_t> shard_primary_rpcs;
-    std::vector<std::uint64_t> shard_hedges;
-    std::vector<std::uint64_t> shard_hedge_wins;
-    /** Replica busy time burned by attempts that lost their race. */
-    double wasted_busy_ns = 0.0;
+    /** Hedge outcome counters; total_busy_ns is filled on read. */
+    rpc::HedgeStats hedge_stats;
+    /**
+     * Per-shard hedge accounting (always tracked; cheap): only
+     * primary_rpcs, hedges and wins are kept per shard.
+     */
+    std::vector<rpc::HedgeStats> shard_hedge_stats;
 
     // -- Pooled-result cache -------------------------------------------------
 
@@ -443,6 +436,17 @@ struct ServingSimulation::Impl
             static_cast<std::size_t>(shard) < shard_trackers.size())
             return shard_trackers[static_cast<std::size_t>(shard)];
         return hedge_tracker;
+    }
+
+    /**
+     * Whether @p server died, or died and came back, since an attempt
+     * took generation @p gen of it: that attempt's work is lost.
+     */
+    bool
+    replicaLost(int server, std::uint32_t gen) const
+    {
+        const auto s = static_cast<std::size_t>(server);
+        return replica_dead[s] || gen != replica_gen[s];
     }
 
     bool
@@ -570,15 +574,14 @@ struct ServingSimulation::Impl
 
     // -- Helpers -------------------------------------------------------------
 
-    std::int64_t
-    batchItems(const Active *a, int b) const
+    /** Client-side CPU of dispatching one RPC attempt. */
+    sim::Duration
+    dispatchNs() const
     {
-        const std::int64_t base = a->req->items / a->nb;
-        const std::int64_t rem = a->req->items % a->nb;
-        return base + (b < rem ? 1 : 0);
+        return scaled(service.clientDispatchNs(), mainScale());
     }
 
-    /** Split a request-level lookup count across batches. */
+    /** Split a request-level count (items, lookups) across batches. */
     std::int64_t
     batchShare(std::int64_t total, int nb, int b) const
     {
@@ -651,28 +654,55 @@ struct ServingSimulation::Impl
 
     // -- Request lifecycle ----------------------------------------------------
 
+    /**
+     * Reject a request the engine cannot serve, in every build: with no
+     * items it would split into zero batches and never complete, and a
+     * lookup vector of the wrong size would be read out of bounds.
+     */
     void
-    unregisterLive(Active *a)
+    checkRequest(const workload::Request &req) const
     {
-        Active **p = live_requests.find(a->st.id);
-        if (p != nullptr && *p == a)
-            live_requests.erase(a->st.id);
+        require(req.items >= 1, "request items must be >= 1");
+        require(req.table_lookups.size() == spec.tables.size(),
+                "request table_lookups must have one entry per table");
     }
 
-    /** Drop a request without executing it; stats record the reason. */
+    /**
+     * Emit a finished request, served or shed with @p reason: close its
+     * root span with @p flags, stamp its completion, feed a served
+     * request's latency to the rolling window, and deliver its stats. A
+     * request shed mid-flight keeps its Active until its last batch
+     * drains; any other Active is recycled here.
+     *
+     * The feed observe comes AFTER the root end (and thus after the
+     * sampler's decision), so the rolling tail threshold never includes
+     * the request being judged, and the exemplar can record whether
+     * that request's trace was actually retained.
+     */
     void
-    shedRequest(Active *a, ShedReason reason)
+    emit(Active *a, ShedReason reason, std::uint8_t flags)
     {
-        unregisterLive(a);
+        Active **live = live_requests.find(a->st.id);
+        if (live != nullptr && *live == a)
+            live_requests.erase(a->st.id);
         if (tr)
-            tr->end(a->sp_root, engine.now(), obs::kFlagShed);
+            tr->end(a->sp_root, engine.now(), flags);
         a->st.shed_reason = reason;
         a->st.completion = engine.now();
         a->st.e2e = a->st.completion - a->st.arrival;
+        if (reason == ShedReason::None && cfg.latency_feed != nullptr) {
+            const bool kept =
+                tr != nullptr && tr->lastRootDecision() ==
+                                     obs::SpanTracer::RootDecision::Kept;
+            cfg.latency_feed->observe(
+                static_cast<double>(a->st.completion) * 1e-9, a->st.e2e,
+                a->st.id, kept);
+        }
         results->push_back(a->st);
         const RequestStats st = a->st;
         auto on_complete = std::move(a->on_complete);
-        releaseActive(a);
+        if (!a->shed_mid_flight)
+            releaseActive(a);
         if (on_complete)
             on_complete(st);
     }
@@ -695,55 +725,81 @@ struct ServingSimulation::Impl
     }
 
     /**
-     * Refund the unexecuted fraction `f` of an aborted attempt's cpu_*
-     * charges from its request's stats. Shared by the hedge-race
-     * cancellation (cancelSibling) and the mid-flight shed abort
-     * (cancelAttemptForShed), which must reverse the identical buckets
-     * the execution path charged.
+     * Retire a batch that leaves without a merge — one of a request shed
+     * mid-flight, or one with no fan-out to wait for: close its open
+     * spans (as cancelled debris once the request is shed), return the
+     * main core if it holds one, then free its slot and count it done.
+     * @p bt is the batch's fan-out state; a batch that never dispatched
+     * passes null and its span as @p sp_batch.
      */
     void
-    refundAttemptCharges(Active *a, const AttemptExec &ex, double f)
+    drainBatch(Active *a, BatchState *bt, obs::SpanId sp_batch,
+               bool holds_core)
     {
-        a->st.cpu_service_ns -=
-            f * static_cast<double>(ex.service + ex.overhead);
-        a->st.cpu_serde_ns -= f * static_cast<double>(ex.serde);
-        a->st.cpu_ops_ns -= f * static_cast<double>(ex.op_ns);
-        a->st.shard_op_ns[ex.sidx] -= f * static_cast<double>(ex.op_ns);
-        a->st.shard_net_op_ns[ex.sidx * spec.nets.size() + ex.nidx] -=
-            f * static_cast<double>(ex.op_ns);
+        if (bt != nullptr)
+            destroyBatch(bt);
+        else if (tr)
+            tr->end(sp_batch, engine.now(),
+                    a->shed_mid_flight ? obs::kFlagCancelled
+                                       : obs::kFlagNone);
+        if (holds_core)
+            main_cores->release();
+        releaseSlot(a);
+        batchDone(a);
     }
 
     /**
-     * Abort one *executing* attempt of a shed request: release its core,
-     * stop the clock on its busy period, and settle the request's
-     * accounting the way cancelSibling does — refund the unexecuted
-     * remainder of the cpu_* charges (only the consumed part was real
-     * work) and reverse the hedge-waste pre-charge entirely: a shed
-     * abort is not a hedge outcome, so hedge_wasted_cpu_ns stays a pure
-     * hedge-race metric (all zero when hedging is off). Must run BEFORE
-     * the shed stats are emitted.
+     * Abort one *executing* attempt — the loser of a hedge race (the
+     * servers tell each other when one finishes) or an RPC of a shed
+     * request: close its spans with @p flags, refund the unexecuted
+     * remainder of its cpu_* charges from the request's stats (only
+     * the consumed part was real work), and free its replica core.
+     * Returns the busy time it consumed; the caller settles the
+     * hedge-waste pre-charge and its hedge counter.
      */
-    void
-    cancelAttemptForShed(RpcOp *op, int idx)
+    sim::Duration
+    abortAttempt(RpcOp *op, int idx, std::uint8_t flags)
     {
         AttemptExec &ex = op->exec[idx];
         ex.cancelled = true;
         ex.executing = false;
         if (tr) {
-            tr->end(ex.sp_exec, engine.now(), obs::kFlagCancelled);
-            tr->end(ex.sp_attempt, engine.now(), obs::kFlagCancelled);
+            tr->end(ex.sp_exec, engine.now(), flags);
+            tr->end(ex.sp_attempt, engine.now(), flags);
         }
         const sim::Duration consumed = engine.now() - ex.exec_start;
         const sim::Duration saved = ex.busy - consumed;
         const double f = ex.busy > 0 ? static_cast<double>(saved) /
                                            static_cast<double>(ex.busy)
                                      : 0.0;
-        Active *a = op->bt->req;
-        refundAttemptCharges(a, ex, f);
-        a->st.hedge_wasted_cpu_ns -= static_cast<double>(ex.busy);
-        if (idx == 1)
-            ++hedge_cancelled; // conservation: this backup ends "cancelled"
+        RequestStats &st = op->bt->req->st;
+        st.cpu_service_ns -= f * static_cast<double>(ex.service + ex.overhead);
+        st.cpu_serde_ns -= f * static_cast<double>(ex.serde);
+        st.cpu_ops_ns -= f * static_cast<double>(ex.op_ns);
+        st.shard_op_ns[ex.sidx] -= f * static_cast<double>(ex.op_ns);
+        st.shard_net_op_ns[ex.sidx * spec.nets.size() + ex.nidx] -=
+            f * static_cast<double>(ex.op_ns);
         sparse_cores[static_cast<std::size_t>(ex.server)]->release();
+        return consumed;
+    }
+
+    /**
+     * Retire an attempt whose op was decided before it could win — it
+     * lost the race, or its request was shed: close its span with
+     * @p flags, count it (a backup that @p executed lost, any other
+     * backup was cancelled), and drop its context and op reference.
+     */
+    void
+    retireAttempt(RpcOp *op, int idx, AttemptCtx *ctx, std::uint8_t flags,
+                  bool executed = false)
+    {
+        if (tr)
+            tr->end(op->exec[idx].sp_attempt, engine.now(), flags);
+        if (idx == 1)
+            ++(executed ? hedge_stats.losses : hedge_stats.cancelled);
+        if (ctx != nullptr)
+            attempt_pool.release(ctx);
+        derefOp(op);
     }
 
     /**
@@ -762,7 +818,6 @@ struct ServingSimulation::Impl
     shedMidFlight(Active *a, ShedReason reason)
     {
         a->shed_mid_flight = true;
-        unregisterLive(a);
 
         // 1. Cancel outstanding fan-out and settle accounting. Batch
         // retirement waits until after stats emission because the last
@@ -779,35 +834,33 @@ struct ServingSimulation::Impl
                     tr->end(op->sp_op, engine.now(), obs::kFlagCancelled);
                 ++shed_cancelled_rpcs;
                 ++cancelled_now[bi];
-                for (int i = 0; i < 2; ++i)
-                    if (op->exec[i].executing)
-                        cancelAttemptForShed(op, i);
+                for (int i = 0; i < 2; ++i) {
+                    if (!op->exec[i].executing)
+                        continue;
+                    abortAttempt(op, i, obs::kFlagCancelled);
+                    // A shed abort is not a hedge outcome: reverse the
+                    // whole pre-charge, so hedge_wasted_cpu_ns stays a
+                    // pure hedge-race metric (all zero when hedging is
+                    // off), and count the backup as cancelled.
+                    a->st.hedge_wasted_cpu_ns -=
+                        static_cast<double>(op->exec[i].busy);
+                    if (i == 1)
+                        ++hedge_stats.cancelled;
+                }
             }
         }
 
         // 2. Emit the settled stats. The root span closes here, at the
         // moment the client gives up; the remaining machinery drains as
         // cancelled debris spans that may outlive it.
-        if (tr)
-            tr->end(a->sp_root, engine.now(), obs::kFlagShed);
-        a->st.shed_reason = reason;
-        a->st.completion = engine.now();
-        a->st.e2e = a->st.completion - a->st.arrival;
-        results->push_back(a->st);
-        const RequestStats st = a->st;
-        auto on_complete = std::move(a->on_complete);
-        if (on_complete)
-            on_complete(st);
+        emit(a, reason, obs::kFlagShed);
 
         // 3. Retire batches with nothing left in flight.
         for (std::size_t bi = 0; bi < batches.size(); ++bi) {
             BatchState *bt = batches[bi];
             bt->pending -= cancelled_now[bi];
-            if (bt->pending == 0 && cancelled_now[bi] > 0) {
-                destroyBatch(bt);
-                releaseSlot(a);
-                batchDone(a);
-            }
+            if (bt->pending == 0 && cancelled_now[bi] > 0)
+                drainBatch(a, bt, obs::kNoSpan, false);
         }
     }
 
@@ -890,12 +943,7 @@ struct ServingSimulation::Impl
         if (op->won) {
             // Race decided while the timeout ran (sibling answered, or
             // the request was shed): this is just debris to drop.
-            if (tr)
-                tr->end(op->exec[idx].sp_attempt, engine.now(),
-                        loseFlags(op) | obs::kFlagFault);
-            if (idx == 1)
-                ++hedge_cancelled;
-            derefOp(op);
+            retireAttempt(op, idx, nullptr, loseFlags(op) | obs::kFlagFault);
             return;
         }
         AttemptExec &ex = op->exec[idx];
@@ -911,8 +959,7 @@ struct ServingSimulation::Impl
             // Failover re-dispatch: the serialized payload is reused (no
             // second serde charge, like a hedge), but dispatch CPU is
             // paid again and resolution avoids the failed server.
-            a->st.cpu_service_ns += static_cast<double>(
-                scaled(service.clientDispatchNs(), mainScale()));
+            a->st.cpu_service_ns += static_cast<double>(dispatchNs());
             ex.exclude = failed_server;
             launchAttempt(op, /*is_hedge=*/false);
             return; // the relaunched attempt inherits this reference
@@ -920,7 +967,7 @@ struct ServingSimulation::Impl
         if (idx == 1) {
             // A failed hedge never escalates: the primary (and its
             // retries) still own the op; the backup just dissolves.
-            ++hedge_cancelled;
+            ++hedge_stats.cancelled;
             derefOp(op);
             return;
         }
@@ -979,7 +1026,7 @@ struct ServingSimulation::Impl
         if (cfg.admission.max_main_queue > 0 &&
             main_cores->queued() >=
                 static_cast<std::size_t>(cfg.admission.max_main_queue)) {
-            shedRequest(a, ShedReason::QueueFull);
+            emit(a, ShedReason::QueueFull, obs::kFlagShed);
             return;
         }
 
@@ -1011,7 +1058,7 @@ struct ServingSimulation::Impl
             if (cfg.admission.deadline_ns > 0 &&
                 engine.now() - a->st.arrival > cfg.admission.deadline_ns) {
                 main_cores->release();
-                shedRequest(a, ShedReason::DeadlineExceeded);
+                emit(a, ShedReason::DeadlineExceeded, obs::kFlagShed);
                 return;
             }
             const sim::Duration handler =
@@ -1073,8 +1120,7 @@ struct ServingSimulation::Impl
     {
         if (a->shed_mid_flight) {
             // Slot granted after the shed: the batch never starts.
-            releaseSlot(a);
-            batchDone(a);
+            drainBatch(a, nullptr, obs::kNoSpan, false);
             return;
         }
         const NetInfo *nip0 = &nets[a->net_idx];
@@ -1086,11 +1132,7 @@ struct ServingSimulation::Impl
                                  nets[a->net_idx].net_id, b);
         main_cores->acquire([this, a, nip0, b, q0, sp_batch] {
             if (a->shed_mid_flight) {
-                if (tr)
-                    tr->end(sp_batch, engine.now(), obs::kFlagCancelled);
-                main_cores->release();
-                releaseSlot(a);
-                batchDone(a);
+                drainBatch(a, nullptr, sp_batch, true);
                 return;
             }
             if (tr && engine.now() > q0)
@@ -1098,7 +1140,7 @@ struct ServingSimulation::Impl
                            engine.now(), obs::kMainShard,
                            nip0->net_id, b);
             const NetInfo &ni = *nip0;
-            const std::int64_t bitems = batchItems(a, b);
+            const std::int64_t bitems = batchShare(a->req->items, a->nb, b);
             const double dense_total =
                 ni.dense_ns_per_item * static_cast<double>(bitems) +
                 ni.dense_fixed_ns;
@@ -1115,58 +1157,21 @@ struct ServingSimulation::Impl
             a->st.cpu_ops_ns += static_cast<double>(bottom + top);
             a->st.main_op_ns += static_cast<double>(bottom + top);
 
+            // Singular: SLS runs inline inside the batch. Distributed:
+            // serialize one request per group with work this batch, then
+            // release the core while the RPCs are outstanding. Groups with
+            // zero lookups are skipped entirely — DRM3's row-split
+            // dominant table touches one piece per request, so only ~2
+            // shards are accessed regardless of shard count.
+            sim::Duration sparse = 0;
             if (ni.groups.empty()) {
-                // Singular: SLS runs inline inside the batch.
                 const std::int64_t lk =
                     batchShare(a->inline_lookups, a->nb, b);
-                const sim::Duration sparse =
-                    scaled(static_cast<double>(lk) * ni.inline_lookup_ns,
-                           mainScale());
+                sparse = scaled(static_cast<double>(lk) * ni.inline_lookup_ns,
+                                mainScale());
                 a->st.cpu_ops_ns += static_cast<double>(sparse);
                 a->st.main_op_ns += static_cast<double>(sparse);
-                if (tr) {
-                    const sim::SimTime t0 = engine.now();
-                    tr->record(a->st.id, obs::SpanKind::DenseBottom,
-                               sp_batch, t0, t0 + overhead + bottom,
-                               obs::kMainShard, ni.net_id, b);
-                    tr->record(a->st.id, obs::SpanKind::InlineSparse,
-                               sp_batch, t0 + overhead + bottom,
-                               t0 + overhead + bottom + sparse,
-                               obs::kMainShard, ni.net_id, b);
-                    tr->record(a->st.id, obs::SpanKind::DenseTop, sp_batch,
-                               t0 + overhead + bottom + sparse,
-                               t0 + overhead + bottom + sparse + top,
-                               obs::kMainShard, ni.net_id, b);
-                }
-                engine.schedule(
-                    overhead + bottom + sparse + top, sim::kEvMainCompute,
-                    [this, a, sparse, sp_batch] {
-                        main_cores->release();
-                        releaseSlot(a);
-                        if (a->shed_mid_flight) {
-                            if (tr)
-                                tr->end(sp_batch, engine.now(),
-                                        obs::kFlagCancelled);
-                            batchDone(a);
-                            return;
-                        }
-                        if (tr)
-                            tr->end(sp_batch, engine.now());
-                        a->net_embedded_max =
-                            std::max(a->net_embedded_max, sparse);
-                        a->max_inline_sparse =
-                            std::max(a->max_inline_sparse, sparse);
-                        batchDone(a);
-                    });
-                return;
             }
-
-            // Distributed: serialize one request per group with work this
-            // batch, then release the core while the RPCs are outstanding.
-            // Groups with zero lookups are skipped entirely — DRM3's
-            // row-split dominant table touches one piece per request, so
-            // only ~2 shards are accessed regardless of shard count.
-            const NetInfo *nip = &ni;
             std::vector<std::size_t> active;
             sim::Duration send_cpu = 0;
             for (std::size_t gi = 0; gi < ni.groups.size(); ++gi) {
@@ -1206,32 +1211,38 @@ struct ServingSimulation::Impl
                 active.push_back(gi);
                 const std::int64_t bytes = netsim::sparseRequestBytes(
                     lk, g.tableCount(), bitems);
-                send_cpu += scaled(service.serdeNs(bytes), mainScale()) +
-                            scaled(service.clientDispatchNs(), mainScale());
+                send_cpu +=
+                    scaled(service.serdeNs(bytes), mainScale()) + dispatchNs();
             }
             if (active.empty()) {
-                // No sparse work anywhere this batch (or every group hit
-                // the result cache): pure dense path.
+                // Inline SLS, no sparse work anywhere this batch, or every
+                // group hit the result cache: a pure main-shard batch.
                 if (tr) {
                     const sim::SimTime t0 = engine.now();
                     tr->record(a->st.id, obs::SpanKind::DenseBottom,
                                sp_batch, t0, t0 + overhead + bottom,
                                obs::kMainShard, ni.net_id, b);
+                    if (ni.groups.empty())
+                        tr->record(a->st.id, obs::SpanKind::InlineSparse,
+                                   sp_batch, t0 + overhead + bottom,
+                                   t0 + overhead + bottom + sparse,
+                                   obs::kMainShard, ni.net_id, b);
                     tr->record(a->st.id, obs::SpanKind::DenseTop, sp_batch,
-                               t0 + overhead + bottom,
-                               t0 + overhead + bottom + top,
+                               t0 + overhead + bottom + sparse,
+                               t0 + overhead + bottom + sparse + top,
                                obs::kMainShard, ni.net_id, b);
                 }
-                engine.schedule(overhead + bottom + top, sim::kEvMainCompute,
-                                [this, a, sp_batch] {
-                    if (tr)
-                        tr->end(sp_batch, engine.now(),
-                                a->shed_mid_flight ? obs::kFlagCancelled
-                                                   : obs::kFlagNone);
-                    main_cores->release();
-                    releaseSlot(a);
-                    batchDone(a);
-                });
+                engine.schedule(
+                    overhead + bottom + sparse + top, sim::kEvMainCompute,
+                    [this, a, sparse, sp_batch] {
+                        if (!a->shed_mid_flight) {
+                            a->net_embedded_max =
+                                std::max(a->net_embedded_max, sparse);
+                            a->max_inline_sparse =
+                                std::max(a->max_inline_sparse, sparse);
+                        }
+                        drainBatch(a, nullptr, sp_batch, true);
+                    });
                 return;
             }
             if (tr) {
@@ -1246,17 +1257,12 @@ struct ServingSimulation::Impl
             }
             engine.schedule(
                 overhead + bottom + send_cpu, sim::kEvMainCompute,
-                [this, a, nip, b, bitems, top, sp_batch,
+                [this, a, nip0, b, bitems, top, sp_batch,
                  active = std::move(active)] {
                     if (a->shed_mid_flight) {
                         // Shed during the dense phase: the fan-out is
                         // never dispatched.
-                        if (tr)
-                            tr->end(sp_batch, engine.now(),
-                                    obs::kFlagCancelled);
-                        main_cores->release();
-                        releaseSlot(a);
-                        batchDone(a);
+                        drainBatch(a, nullptr, sp_batch, true);
                         return;
                     }
                     BatchState *bt = batch_pool.acquire();
@@ -1270,10 +1276,10 @@ struct ServingSimulation::Impl
                     if (tr)
                         bt->sp_embed = tr->begin(
                             a->st.id, obs::SpanKind::EmbeddedWait, sp_batch,
-                            engine.now(), obs::kMainShard, nip->net_id, b);
+                            engine.now(), obs::kMainShard, nip0->net_id, b);
                     a->live_batches.push_back(bt);
                     for (std::size_t gi : active)
-                        sendRpc(bt, *nip, gi);
+                        sendRpc(bt, *nip0, gi);
                     // The async RPC ops release the worker CORE (other
                     // requests may use it) but the batch's net execution
                     // blocks on the wait op, so the intra-request slot is
@@ -1310,9 +1316,9 @@ struct ServingSimulation::Impl
     bool
     hedgeBudgetAllows() const
     {
-        return static_cast<double>(hedges_launched + 1) <=
+        return static_cast<double>(hedge_stats.hedges + 1) <=
                cfg.hedge.max_hedge_fraction *
-                   static_cast<double>(primary_rpcs);
+                   static_cast<double>(hedge_stats.primary_rpcs);
     }
 
     /**
@@ -1345,11 +1351,10 @@ struct ServingSimulation::Impl
             netsim::sparseRequestBytes(lk, g.tableCount(), bt->batch_items);
         // Client-side serde/dispatch CPU was spent in startBatch; account it.
         a->st.cpu_serde_ns += service.serdeNs(req_bytes) * mainScale();
-        a->st.cpu_service_ns += static_cast<double>(scaled(
-            service.clientDispatchNs(), mainScale()));
+        a->st.cpu_service_ns += static_cast<double>(dispatchNs());
         ++a->st.rpc_count;
-        ++primary_rpcs;
-        ++shard_primary_rpcs[static_cast<std::size_t>(g.shard)];
+        ++hedge_stats.primary_rpcs;
+        ++shard_hedge_stats[static_cast<std::size_t>(g.shard)].primary_rpcs;
 
         RpcOp *op = op_pool.acquire();
         op->bt = bt;
@@ -1393,8 +1398,7 @@ struct ServingSimulation::Impl
             trackerFor(op->ni->groups[op->gi].shard);
         if (tracker.count() < std::max<std::size_t>(1, hc.min_samples))
             return;
-        const sim::Duration deadline =
-            tracker.deadline(hc.quantile, hc.min_deadline_ns);
+        const sim::Duration deadline = tracker.quantile(hc.quantile);
         ++op->refs; // the timer (held across re-arms)
         engine.schedule(deadline, sim::kEvTimer,
                         [this, op, deadline] { hedgeTimerFired(op, deadline); });
@@ -1421,19 +1425,19 @@ struct ServingSimulation::Impl
         // sink into another deep queue; count the skip either way so
         // under-hedging is visible in the stats.
         if (hedgeBudgetAllows() && backupHasHeadroom(op)) {
-            ++hedges_launched;
-            ++shard_hedges[static_cast<std::size_t>(
-                op->ni->groups[op->gi].shard)];
+            ++hedge_stats.hedges;
+            ++shard_hedge_stats[static_cast<std::size_t>(
+                                    op->ni->groups[op->gi].shard)]
+                  .hedges;
             Active *a = op->bt->req;
             ++a->st.hedges;
             // Backup dispatch CPU; the serialized payload is reused,
             // so no second serde charge.
-            a->st.cpu_service_ns += static_cast<double>(
-                scaled(service.clientDispatchNs(), mainScale()));
+            a->st.cpu_service_ns += static_cast<double>(dispatchNs());
             ++op->refs; // the backup attempt
             launchAttempt(op, /*is_hedge=*/true);
         } else {
-            ++hedge_suppressed;
+            ++hedge_stats.suppressed;
         }
         derefOp(op);
     }
@@ -1465,7 +1469,8 @@ struct ServingSimulation::Impl
             salt = salt * 0x100000001b3ULL ^
                    static_cast<std::uint64_t>(op->retries + 2);
 
-        AttemptExec &ex = op->exec[is_hedge ? 1 : 0];
+        const int idx = is_hedge ? 1 : 0;
+        AttemptExec &ex = op->exec[idx];
         if (tr) {
             ex.sp_attempt = tr->begin(
                 a->st.id, obs::SpanKind::RpcAttempt, op->sp_op,
@@ -1480,7 +1485,6 @@ struct ServingSimulation::Impl
         // stream's values intact.
         if (shard_partitioned[static_cast<std::size_t>(g.shard)]) {
             ++fault_stats.partition_drops;
-            const int idx = is_hedge ? 1 : 0;
             engine.schedule(cfg.faults.rpc_timeout_ns, sim::kEvTimer,
                             [this, op, idx] { attemptFailed(op, idx); });
             return;
@@ -1500,29 +1504,23 @@ struct ServingSimulation::Impl
             tr->record(a->st.id, obs::SpanKind::WireOut, ex.sp_attempt,
                        engine.now(), engine.now() + out_delay, g.shard,
                        op->ni->net_id, op->bt->batch_id);
-        engine.schedule(out_delay, sim::kEvWire, [this, op, ctx, is_hedge] {
-            attemptArrive(op, ctx, is_hedge);
-        });
+        engine.schedule(out_delay, sim::kEvWire,
+                        [this, op, ctx, idx] { attemptArrive(op, ctx, idx); });
     }
 
+    /** Attempt @p idx (0 = primary, 1 = hedge) reaches its shard. */
     void
-    attemptArrive(RpcOp *op, AttemptCtx *ctx, bool is_hedge)
+    attemptArrive(RpcOp *op, AttemptCtx *ctx, int idx)
     {
         // Race already decided while this attempt was on the wire.
         if (op->won) {
             // A shed poisons the op without anyone winning; only a real
             // race decision makes this attempt a loser.
-            if (tr)
-                tr->end(op->exec[is_hedge ? 1 : 0].sp_attempt, engine.now(),
-                        loseFlags(op));
-            if (is_hedge)
-                ++hedge_cancelled;
-            attempt_pool.release(ctx);
-            derefOp(op);
+            retireAttempt(op, idx, ctx, loseFlags(op));
             return;
         }
         const Group &g = op->ni->groups[op->gi];
-        const int idx = is_hedge ? 1 : 0;
+        const bool is_hedge = idx == 1;
         // A failover retry excludes the server that just failed; hedge
         // backups exclude the primary as always.
         const int exclude =
@@ -1563,41 +1561,30 @@ struct ServingSimulation::Impl
                                   sparse_cores[srv_idx]->queued() + 1;
         peak_queue[srv_idx] = std::max(peak_queue[srv_idx], depth);
         const sim::SimTime q0 = engine.now();
-        sparse_cores[srv_idx]->acquire([this, op, ctx, is_hedge, q0,
-                                        server] {
+        sparse_cores[srv_idx]->acquire([this, op, ctx, idx, q0, server] {
+            AttemptExec &ex = op->exec[idx];
             // Cancelled while queued: the winner returned before this
             // attempt reached a core, so it costs nothing but its slot.
             if (op->won) {
-                if (tr) {
-                    AttemptExec &ex0 = op->exec[is_hedge ? 1 : 0];
-                    tr->record(op->request_id,
-                               obs::SpanKind::RemoteQueue, ex0.sp_attempt,
-                               q0, engine.now(), ctx->rec.shard_id,
-                               ctx->rec.net_id, ctx->rec.batch_id,
-                               loseFlags(op));
-                    tr->end(ex0.sp_attempt, engine.now(), loseFlags(op));
-                }
+                if (tr)
+                    tr->record(op->request_id, obs::SpanKind::RemoteQueue,
+                               ex.sp_attempt, q0, engine.now(),
+                               ctx->rec.shard_id, ctx->rec.net_id,
+                               ctx->rec.batch_id, loseFlags(op));
+                retireAttempt(op, idx, ctx, loseFlags(op));
                 sparse_cores[static_cast<std::size_t>(server)]->release();
-                if (is_hedge)
-                    ++hedge_cancelled;
-                attempt_pool.release(ctx);
-                derefOp(op);
                 return;
             }
-            {
-                // The replica died (or rebooted) while this attempt sat
-                // in its queue: the queued work is lost; the client
-                // discovers via its timeout, which has already elapsed
-                // by core-grant time.
-                const auto sg = static_cast<std::size_t>(server);
-                AttemptExec &exg = op->exec[is_hedge ? 1 : 0];
-                if (replica_dead[sg] || exg.server_gen != replica_gen[sg]) {
-                    sparse_cores[sg]->release();
-                    ++fault_stats.lost_in_service;
-                    attempt_pool.release(ctx);
-                    attemptFailed(op, is_hedge ? 1 : 0);
-                    return;
-                }
+            // The replica died (or rebooted) while this attempt sat in
+            // its queue: the queued work is lost; the client discovers
+            // via its timeout, which has already elapsed by core-grant
+            // time.
+            if (replicaLost(server, ex.server_gen)) {
+                sparse_cores[static_cast<std::size_t>(server)]->release();
+                ++fault_stats.lost_in_service;
+                attempt_pool.release(ctx);
+                attemptFailed(op, idx);
+                return;
             }
             Active *a2 = op->bt->req;
             const Group &g2 = op->ni->groups[op->gi];
@@ -1657,7 +1644,6 @@ struct ServingSimulation::Impl
             // pre-charge/reversal protocol keeps per-request wasted-work
             // accounting memory-safe.
             a2->st.hedge_wasted_cpu_ns += static_cast<double>(busy);
-            AttemptExec &ex = op->exec[is_hedge ? 1 : 0];
             ex.executing = true;
             ex.server = server;
             ex.exec_start = engine.now();
@@ -1679,48 +1665,41 @@ struct ServingSimulation::Impl
                                        op->ni->net_id, op->bt->batch_id);
             }
             engine.schedule(busy, sim::kEvSparseCompute,
-                            [this, op, ctx, resp_bytes, busy,
-                             is_hedge, server] {
-                AttemptExec &self = op->exec[is_hedge ? 1 : 0];
+                            [this, op, ctx, resp_bytes, busy, idx, server] {
+                AttemptExec &self = op->exec[idx];
                 self.executing = false;
                 if (self.cancelled) {
-                    // The winner aborted this attempt mid-service and
-                    // already released the core and settled accounting.
+                    // Aborted mid-service (race lost or request shed):
+                    // the core and the accounting are already settled.
                     attempt_pool.release(ctx);
                     derefOp(op);
                     return;
                 }
-                const auto sfd = static_cast<std::size_t>(server);
-                if (replica_dead[sfd] ||
-                    self.server_gen != replica_gen[sfd]) {
+                if (replicaLost(server, self.server_gen)) {
                     // The replica died mid-service: the compute was
                     // genuinely burned (charges stand) but the response
                     // is lost with the replica.
                     self.cancelled = true;
-                    sparse_cores[sfd]->release();
+                    sparse_cores[static_cast<std::size_t>(server)]->release();
                     ++fault_stats.lost_in_service;
                     if (tr)
                         tr->end(self.sp_exec, engine.now(),
                                 obs::kFlagCancelled | obs::kFlagFault);
-                    attempt_pool.release(ctx);
                     if (op->won) {
                         // A sibling already answered; this was duplicate
                         // work and stays accounted as such.
-                        if (tr)
-                            tr->end(self.sp_attempt, engine.now(),
-                                    loseFlags(op) | obs::kFlagFault);
-                        wasted_busy_ns += static_cast<double>(busy);
-                        if (is_hedge)
-                            ++hedge_losses;
-                        derefOp(op);
+                        hedge_stats.wasted_busy_ns += static_cast<double>(busy);
+                        retireAttempt(op, idx, ctx,
+                                      loseFlags(op) | obs::kFlagFault, true);
                         return;
                     }
+                    attempt_pool.release(ctx);
                     // Reverse the hedge pre-charge: a fault loss is not
                     // a hedge outcome, so hedge_wasted_cpu_ns stays a
                     // pure hedge-race metric.
                     op->bt->req->st.hedge_wasted_cpu_ns -=
                         static_cast<double>(busy);
-                    attemptFailed(op, is_hedge ? 1 : 0);
+                    attemptFailed(op, idx);
                     return;
                 }
                 self.finished = true;
@@ -1731,16 +1710,10 @@ struct ServingSimulation::Impl
                     // duplicate work. The request may already be
                     // finalized, so only simulation-level counters are
                     // touched here.
-                    if (tr) {
+                    if (tr)
                         tr->end(self.sp_exec, engine.now(), obs::kFlagLoser);
-                        tr->end(self.sp_attempt, engine.now(),
-                                obs::kFlagLoser);
-                    }
-                    wasted_busy_ns += static_cast<double>(busy);
-                    if (is_hedge)
-                        ++hedge_losses;
-                    attempt_pool.release(ctx);
-                    derefOp(op);
+                    hedge_stats.wasted_busy_ns += static_cast<double>(busy);
+                    retireAttempt(op, idx, ctx, obs::kFlagLoser, true);
                     return;
                 }
                 if (tr)
@@ -1748,13 +1721,32 @@ struct ServingSimulation::Impl
                 op->won = true;
                 op->bt->req->st.hedge_wasted_cpu_ns -=
                     static_cast<double>(busy);
-                if (is_hedge) {
-                    ++hedge_wins;
-                    ++shard_hedge_wins[static_cast<std::size_t>(
-                        op->ni->groups[op->gi].shard)];
+                if (idx == 1) {
+                    ++hedge_stats.wins;
+                    ++shard_hedge_stats[static_cast<std::size_t>(
+                                            op->ni->groups[op->gi].shard)]
+                          .wins;
                     ++op->bt->req->st.hedge_wins;
                 }
-                cancelSibling(op, is_hedge ? 1 : 0);
+                // Tied requests: the servers tell each other when one
+                // finishes, so an executing sibling is aborted and the
+                // remainder of its busy time reclaimed. This is what
+                // makes hedging capacity-positive under load — aborting
+                // a straggling primary after the fast backup answers
+                // refunds most of its inflated service time.
+                AttemptExec &loser = op->exec[1 - idx];
+                if (loser.executing) {
+                    const sim::Duration consumed = abortAttempt(
+                        op, 1 - idx, obs::kFlagCancelled | obs::kFlagLoser);
+                    // The pre-charge covered the full busy period; only
+                    // the consumed part was actually wasted.
+                    op->bt->req->st.hedge_wasted_cpu_ns -=
+                        static_cast<double>(loser.busy - consumed);
+                    hedge_stats.wasted_busy_ns +=
+                        static_cast<double>(consumed);
+                    if (idx == 0)
+                        ++hedge_stats.losses; // the aborted backup lost
+                }
                 BatchState *bt = op->bt;
                 const sim::SimTime dispatched = op->dispatched;
                 const rpc::ResultCache::Key ckey = op->cache_key;
@@ -1802,46 +1794,6 @@ struct ServingSimulation::Impl
         });
     }
 
-    /**
-     * Tied-request cancellation: the winning attempt aborts an executing
-     * sibling mid-service, reclaiming the remainder of its busy time (the
-     * servers notify each other, so the loser does not run to
-     * completion). This is what makes hedging capacity-positive under
-     * load — aborting a straggling primary after the fast backup answers
-     * refunds most of the straggler's inflated service time. Runs on the
-     * winner's completion path, where the request is guaranteed alive.
-     */
-    void
-    cancelSibling(RpcOp *op, int winner_idx)
-    {
-        AttemptExec &loser = op->exec[1 - winner_idx];
-        if (!loser.executing || loser.finished || loser.cancelled)
-            return;
-        loser.cancelled = true;
-        loser.executing = false;
-        if (tr) {
-            const std::uint8_t fl = obs::kFlagCancelled | obs::kFlagLoser;
-            tr->end(loser.sp_exec, engine.now(), fl);
-            tr->end(loser.sp_attempt, engine.now(), fl);
-        }
-        const sim::Duration consumed = engine.now() - loser.exec_start;
-        const sim::Duration saved = loser.busy - consumed;
-        const double f =
-            loser.busy > 0
-                ? static_cast<double>(saved) /
-                      static_cast<double>(loser.busy)
-                : 0.0;
-        Active *a = op->bt->req;
-        refundAttemptCharges(a, loser, f);
-        // The pre-charge covered the full busy period; only the consumed
-        // part was actually wasted.
-        a->st.hedge_wasted_cpu_ns -= static_cast<double>(saved);
-        wasted_busy_ns += static_cast<double>(consumed);
-        if (winner_idx == 0)
-            ++hedge_losses; // the backup was the aborted attempt
-        sparse_cores[static_cast<std::size_t>(loser.server)]->release();
-    }
-
     void
     responseArrive(BatchState *bt, std::int64_t resp_bytes,
                    RpcRecord rec)
@@ -1850,11 +1802,8 @@ struct ServingSimulation::Impl
         if (a->shed_mid_flight) {
             // The client gave up on this request; the late response is
             // discarded at arrival (no deserde, no top dense).
-            if (--bt->pending > 0)
-                return;
-            destroyBatch(bt);
-            releaseSlot(a);
-            batchDone(a);
+            if (--bt->pending == 0)
+                drainBatch(a, bt, obs::kNoSpan, false);
             return;
         }
         rec.completed = engine.now();
@@ -1875,10 +1824,7 @@ struct ServingSimulation::Impl
         const sim::SimTime merge0 = engine.now();
         main_cores->acquireFront([this, a, bt, embedded, merge0] {
             if (a->shed_mid_flight) {
-                main_cores->release();
-                destroyBatch(bt);
-                releaseSlot(a);
-                batchDone(a);
+                drainBatch(a, bt, obs::kNoSpan, true);
                 return;
             }
             const sim::Duration resp_deserde =
@@ -1902,13 +1848,12 @@ struct ServingSimulation::Impl
             }
             engine.schedule(resp_deserde + top, sim::kEvMainCompute,
                             [this, a, bt, embedded] {
-                main_cores->release();
-                releaseSlot(a);
                 if (a->shed_mid_flight) {
-                    destroyBatch(bt);
-                    batchDone(a);
+                    drainBatch(a, bt, obs::kNoSpan, true);
                     return;
                 }
+                main_cores->release();
+                releaseSlot(a);
                 if (tr)
                     tr->end(bt->sp_batch, engine.now());
                 a->net_embedded_max =
@@ -1976,33 +1921,11 @@ struct ServingSimulation::Impl
     void
     finalize(Active *a)
     {
-        unregisterLive(a);
-        // Root end carries the hedge-win flag so the sampler's flag
-        // trigger can keep hedge-win traces; the feed observe comes
-        // AFTER the root end (and thus after the sampler's decision),
-        // so the rolling tail threshold never includes the request
-        // being judged, and the exemplar can record whether that
-        // request's trace was actually retained.
-        if (tr) {
-            tr->end(a->sp_root, engine.now(),
-                    a->st.hedge_wins > 0
-                        ? static_cast<std::uint8_t>(obs::kFlagHedge)
-                        : static_cast<std::uint8_t>(obs::kFlagNone));
-        }
-        a->st.completion = engine.now();
-        a->st.e2e = a->st.completion - a->st.arrival;
-        if (cfg.latency_feed != nullptr) {
-            const bool kept =
-                tr != nullptr && tr->lastRootDecision() ==
-                                     obs::SpanTracer::RootDecision::Kept;
-            cfg.latency_feed->observe(
-                static_cast<double>(a->st.completion) * 1e-9, a->st.e2e,
-                a->st.id, kept);
-        }
         const sim::Duration accounted =
             a->st.queue_wait + a->st.lat_serde + a->st.lat_service +
             a->st.lat_net_overhead + a->st.lat_embedded;
-        a->st.lat_dense = std::max<sim::Duration>(0, a->st.e2e - accounted);
+        a->st.lat_dense = std::max<sim::Duration>(
+            0, engine.now() - a->st.arrival - accounted);
 
         if (a->has_bounding) {
             a->st.emb_sparse_op = a->bounding.remote_sparse_op_ns;
@@ -2014,13 +1937,12 @@ struct ServingSimulation::Impl
         } else {
             a->st.emb_sparse_op = a->max_inline_sparse;
         }
-
-        results->push_back(a->st);
-        const RequestStats st = a->st;
-        auto on_complete = std::move(a->on_complete);
-        releaseActive(a);
-        if (on_complete)
-            on_complete(st);
+        // The root end carries the hedge-win flag so the sampler's flag
+        // trigger can keep hedge-win traces.
+        emit(a, ShedReason::None,
+             a->st.hedge_wins > 0
+                 ? static_cast<std::uint8_t>(obs::kFlagHedge)
+                 : static_cast<std::uint8_t>(obs::kFlagNone));
     }
 };
 
@@ -2046,6 +1968,8 @@ ServingSimulation::fanoutGroupCount() const
 std::vector<RequestStats>
 ServingSimulation::replaySerial(const std::vector<workload::Request> &requests)
 {
+    for (const auto &req : requests)
+        impl_->checkRequest(req);
     std::vector<RequestStats> results;
     results.reserve(requests.size());
     impl_->results = &results;
@@ -2070,6 +1994,8 @@ ServingSimulation::replayOpenLoop(
     const std::vector<workload::Request> &requests, double qps)
 {
     require(qps > 0.0, "replayOpenLoop: qps must be > 0");
+    for (const auto &req : requests)
+        impl_->checkRequest(req);
     std::vector<RequestStats> results;
     results.reserve(requests.size());
     impl_->results = &results;
@@ -2100,6 +2026,7 @@ ServingSimulation::inject(
     std::function<void(const RequestStats &)> on_complete,
     sim::SimTime arrival)
 {
+    impl_->checkRequest(request);
     impl_->inject(request, std::move(on_complete), arrival);
 }
 
@@ -2182,14 +2109,7 @@ ServingSimulation::serverBusyCoreNs() const
 rpc::HedgeStats
 ServingSimulation::hedgeStats() const
 {
-    rpc::HedgeStats h;
-    h.primary_rpcs = impl_->primary_rpcs;
-    h.hedges = impl_->hedges_launched;
-    h.wins = impl_->hedge_wins;
-    h.losses = impl_->hedge_losses;
-    h.cancelled = impl_->hedge_cancelled;
-    h.suppressed = impl_->hedge_suppressed;
-    h.wasted_busy_ns = impl_->wasted_busy_ns;
+    rpc::HedgeStats h = impl_->hedge_stats;
     for (const auto &r : impl_->sparse_cores)
         h.total_busy_ns += r->busyIntegral();
     return h;
@@ -2198,13 +2118,7 @@ ServingSimulation::hedgeStats() const
 std::vector<rpc::HedgeStats>
 ServingSimulation::perShardHedgeStats() const
 {
-    std::vector<rpc::HedgeStats> out(impl_->shard_primary_rpcs.size());
-    for (std::size_t s = 0; s < out.size(); ++s) {
-        out[s].primary_rpcs = impl_->shard_primary_rpcs[s];
-        out[s].hedges = impl_->shard_hedges[s];
-        out[s].wins = impl_->shard_hedge_wins[s];
-    }
-    return out;
+    return impl_->shard_hedge_stats;
 }
 
 const rpc::ResultCacheStats &

@@ -237,9 +237,8 @@ struct ServingConfig
     rpc::ResultCacheConfig result_cache;
     /**
      * Hedged sparse RPCs (off by default): a backup request to a second
-     * replica when the primary exceeds a quantile-tracked deadline, first
-     * response wins, loser cancelled (cancellation is best-effort — an
-     * attempt already executing runs to completion as wasted work).
+     * replica when the primary exceeds a quantile-tracked deadline; the
+     * first response wins and an executing loser is aborted.
      */
     rpc::HedgeConfig hedge;
     /**
@@ -311,7 +310,7 @@ class ServingSimulation
     /**
      * Replay requests serially: each is injected when the previous one
      * completes (plus ServingConfig::serial_gap_ns), isolating per-request
-     * overheads as in Section VI.
+     * overheads as in Section VI. Rejects requests as inject() does.
      */
     std::vector<RequestStats>
     replaySerial(const std::vector<workload::Request> &requests);
@@ -319,7 +318,7 @@ class ServingSimulation
     /**
      * Replay with open-loop Poisson arrivals at the given rate (the
      * Section VII-A high-QPS experiment). Throws std::invalid_argument
-     * unless qps > 0.
+     * up front unless qps > 0 and every request passes inject()'s checks.
      */
     std::vector<RequestStats>
     replayOpenLoop(const std::vector<workload::Request> &requests,
@@ -338,7 +337,8 @@ class ServingSimulation
      * Inject one request at the current simulated time. `on_complete`
      * (may be null) fires with the request's final stats — including shed
      * requests, whose stats carry the shed reason. The request object
-     * must outlive its completion.
+     * must outlive its completion. Throws std::invalid_argument unless
+     * items >= 1 and table_lookups has one entry per model table.
      *
      * `arrival` (>= 0) backdates the request's recorded arrival — the
      * dynamic batcher passes its oldest rider's queue-entry time so that

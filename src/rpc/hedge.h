@@ -60,8 +60,6 @@ struct HedgeConfig
      * and the quantile deadline sits near the median.
      */
     double max_hedge_fraction = 0.05;
-    /** Floor on the hedge deadline (avoid hedging trivially fast RPCs). */
-    sim::Duration min_deadline_ns = 0;
     /**
      * Queue-aware suppression: skip the backup when the chosen backup
      * replica already has more than this many outstanding requests
@@ -145,14 +143,6 @@ class LatencyTracker
      * [0, 1]. Returns 0 while the window is empty.
      */
     sim::Duration quantile(double q) const;
-
-    /**
-     * The hedge deadline this window implies: the q-quantile, floored at
-     * `floor_ns` (HedgeConfig::min_deadline_ns). The one place the
-     * quantile-vs-floor rule lives, so the serving engine and any
-     * offline analysis agree on the armed deadline.
-     */
-    sim::Duration deadline(double q, sim::Duration floor_ns) const;
 
   private:
     std::size_t window_;

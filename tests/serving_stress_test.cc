@@ -143,12 +143,6 @@ class ServingStressTest : public ::testing::Test
         cfg.tracer = tracer;
         cfg.latency_feed = latency_feed;
         core::ServingSimulation sim(spec_, plan_, cfg);
-        return replay(p, sim);
-    }
-
-    std::vector<core::RequestStats>
-    replay(const GridPoint &p, core::ServingSimulation &sim) const
-    {
         if (!p.batched)
             return sim.replayOpenLoop(requests_, 1500.0);
         sched::BatcherConfig bc;
@@ -369,9 +363,8 @@ TEST_F(ServingStressTest, TraceSamplingLeavesStatsByteIdentical)
 // Golden fingerprints. The tests above compare two runs of the same
 // build; these pin the absolute output of the serving engine, so a
 // refactor that changes behaviour identically in both runs still fails.
-// The constants were captured from the engine before its lifecycle
-// paths were folded; they change only when the engine's behaviour is
-// meant to change.
+// Update the constants only in a change that means to alter the
+// engine's behaviour, and say so in its description.
 // ---------------------------------------------------------------------------
 
 /** 64-bit FNV-1a over the raw bytes of every value fed to it. */
@@ -560,12 +553,17 @@ TEST_F(ServingStressTest, GoldenFingerprintsMatchParent)
             for (const bool admission : {false, true})
                 for (const bool rcache : {false, true}) {
                     const GridPoint p{hedged, batched, admission, rcache};
-                    expectGolden(
-                        spec_, plan_, configFor(p),
-                        [this, &p](core::ServingSimulation &sim) {
-                            return replay(p, sim);
-                        },
-                        grid[i++], "grid " + p.label());
+                    const auto replay = [this, &p](
+                                            core::ServingSimulation &sim) {
+                        if (!p.batched)
+                            return sim.replayOpenLoop(requests_, 1500.0);
+                        sched::BatcherConfig bc;
+                        bc.policy = sched::BatchPolicy::QueueAware;
+                        return sched::runBatchedOpenLoop(sim, requests_,
+                                                         1500.0, bc);
+                    };
+                    expectGolden(spec_, plan_, configFor(p), replay,
+                                 grid[i++], "grid " + p.label());
                 }
 
     // Singular plan: SLS runs inline, so the shed guards of the inline

@@ -3,9 +3,11 @@
  * Tests for the DES serving engine: determinism, stack accounting
  * identities, the Section IV-B network-latency identity of the
  * bounding-RPC record, RPC fan-out counts, batching, platform scaling,
- * and the open-loop replayer.
+ * the open-loop replayer, and the rejection of malformed requests.
  */
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 #include "core/rpc_record.h"
 #include "core/serving.h"
@@ -266,6 +268,51 @@ TEST(Serving, SerialGapShiftsArrivals)
     for (std::size_t i = 1; i < stats.size(); ++i)
         EXPECT_GE(stats[i].arrival,
                   stats[i - 1].completion + gap.serial_gap_ns);
+}
+
+// Malformed requests throw in every build type (Release defines NDEBUG,
+// so an assert() would let them through). Unchecked, a request with no
+// items would split into zero batches and never complete, halting a
+// serial replay at that request, and a short lookup vector would be
+// read out of bounds.
+
+void
+expectRejected(const model::ModelSpec &spec,
+               const std::vector<workload::Request> &reqs)
+{
+    core::ServingSimulation sim(spec, core::makeCapacityBalanced(spec, 4),
+                                core::ServingConfig{});
+    EXPECT_THROW(sim.replaySerial(reqs), std::invalid_argument);
+    EXPECT_THROW(sim.replayOpenLoop(reqs, 100.0), std::invalid_argument);
+    // The open-loop check runs before any arrival is scheduled.
+    EXPECT_EQ(sim.engine().pending(), 0u);
+    EXPECT_THROW(sim.inject(reqs[1], nullptr), std::invalid_argument);
+    EXPECT_EQ(sim.engine().pending(), 0u);
+
+    // The deployment stays usable for well-formed requests.
+    const auto good = requestsFor(spec, 3);
+    EXPECT_EQ(sim.replaySerial(good).size(), good.size());
+    EXPECT_EQ(sim.replayOpenLoop(good, 100.0).size(), good.size());
+}
+
+TEST(Serving, RejectsRequestWithoutItems)
+{
+    const auto spec = model::makeDrm1();
+    auto reqs = requestsFor(spec, 3);
+    reqs[1].items = 0;
+    expectRejected(spec, reqs);
+    reqs[1].items = -4;
+    expectRejected(spec, reqs);
+}
+
+TEST(Serving, RejectsLookupVectorOfWrongSize)
+{
+    const auto spec = model::makeDrm1();
+    auto reqs = requestsFor(spec, 3);
+    reqs[1].table_lookups.pop_back();
+    expectRejected(spec, reqs);
+    reqs[1].table_lookups.resize(spec.tables.size() + 1, 1);
+    expectRejected(spec, reqs);
 }
 
 } // namespace
