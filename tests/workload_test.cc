@@ -2,12 +2,17 @@
  * @file
  * Tests for the workload generator: determinism, request-size bounds,
  * pooling-factor estimation (the Section III-B2 sampling methodology), and
- * the per-table semantics (item-scaled vs per-request pooling).
+ * the per-table semantics (item-scaled vs per-request pooling), and a
+ * golden oracle pinning the exact bits of every generated stream.
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "model/generators.h"
+#include "stats/hash.h"
 #include "stats/quantile.h"
+#include "workload/diurnal.h"
 #include "workload/request_generator.h"
 
 namespace {
@@ -142,6 +147,78 @@ TEST(RequestGenerator, HeavyTailP99OverP50)
     for (const auto &r : gen.generate(5000))
         q.add(static_cast<double>(r.items));
     EXPECT_GT(q.p99() / q.p50(), 4.0);
+}
+
+// ---------------------------------------------------------------------------
+// Golden oracle: the exact bits of the generated streams. Any change to a
+// draw helper, a sampler or the generator that moves one request moves
+// these fingerprints, so the draw path can be optimised only in ways that
+// leave every value unchanged.
+// ---------------------------------------------------------------------------
+
+void
+foldRequests(stats::Fnv1a &f, const std::vector<Request> &reqs)
+{
+    for (const auto &r : reqs) {
+        f.add(r.items);
+        f.add(static_cast<std::uint64_t>(r.table_lookups.size()));
+        for (const auto n : r.table_lookups)
+            f.add(static_cast<int>(n));
+        f.add(r.content_hash);
+    }
+}
+
+TEST(Workload, GoldenStreamMatchesParent)
+{
+    const model::ModelSpec specs[] = {model::makeDrm1(), model::makeDrm2(),
+                                      model::makeDrm3()};
+    // Per model: stream at amplitude 0, stream at amplitude 0.3, pooling
+    // estimate, diurnal epochs with context_pool 0, then 256.
+    const std::uint64_t expected[3][5] = {
+        {0x76695a4bb245106cULL, 0x815b233f27ed1d64ULL, 0xf0d6fc86b6043c51ULL,
+         0x4ab8fbcfa8454173ULL, 0xac5fc90bacd269dcULL},
+        {0x4d7f1455c43ff947ULL, 0x23d7d8aca044832bULL, 0xd0af0c7885ba5a4bULL,
+         0xf16478b1b2e08a58ULL, 0xc53a7818d166cb01ULL},
+        {0x64bf9f2f59fcd454ULL, 0x5645709ac1051edaULL, 0xbfdd8b8ec0698718ULL,
+         0x65b2f59033ae1f16ULL, 0x3113b4f4ac64be2eULL},
+    };
+    for (int m = 0; m < 3; ++m) {
+        const auto &spec = specs[m];
+        std::uint64_t got[5];
+        for (int a = 0; a < 2; ++a) {
+            RequestGenerator gen(spec,
+                                 GeneratorConfig{1234, a == 0 ? 0.0 : 0.3});
+            stats::Fnv1a f;
+            foldRequests(f, gen.generate(2000));
+            got[a] = f.h;
+        }
+        {
+            const RequestGenerator gen(spec, GeneratorConfig{77, 0.0});
+            stats::Fnv1a f;
+            for (const double p : gen.estimatePoolingFactors(1000))
+                f.add(p);
+            got[2] = f.h;
+        }
+        for (int pool = 0; pool < 2; ++pool) {
+            workload::DiurnalLoadConfig dl;
+            dl.bursts_per_epoch = 1.5;
+            dl.net_mix_amplitude = 0.2;
+            dl.context_pool = pool == 0 ? 0 : 256;
+            const workload::DiurnalLoadModel load(spec, dl);
+            stats::Fnv1a f;
+            for (int e = 0; e < 24; ++e) {
+                f.add(load.burstCount(e));
+                f.add(load.realizedQps(e));
+            }
+            for (int e = 0; e < 4; ++e)
+                foldRequests(f, load.epochRequests(e, 300));
+            got[3 + pool] = f.h;
+        }
+        for (int k = 0; k < 5; ++k)
+            EXPECT_EQ(got[k], expected[m][k])
+                << "model " << m << " case " << k << ": got 0x" << std::hex
+                << got[k];
+    }
 }
 
 } // namespace
