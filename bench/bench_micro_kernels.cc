@@ -3,15 +3,19 @@
  * google-benchmark microbenches for the compute kernels underneath the
  * serving substrate: SLS pooling (fp32 / int8 / int4 backed), dense FC,
  * the DES event engine, and index splitting. These back the cost-model
- * constants used by the simulation.
+ * constants used by the simulation. The draw-path rows (Rng draws, a
+ * per-RPC-attempt fork, one DRM1 request) time the simulator's own
+ * random-number layer, which request generation is bound by.
  */
 #include <benchmark/benchmark.h>
 
 #include "graph/operators.h"
+#include "model/generators.h"
 #include "sim/engine.h"
 #include "stats/rng.h"
 #include "tensor/embedding_table.h"
 #include "tensor/kernels.h"
+#include "workload/request_generator.h"
 
 namespace {
 
@@ -103,6 +107,60 @@ BM_SplitIndices(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SplitIndices)->Arg(2)->Arg(8);
+
+void
+BM_RngUniform(benchmark::State &state)
+{
+    stats::Rng rng(1);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.uniform());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RngUniform);
+
+void
+BM_RngGaussian(benchmark::State &state)
+{
+    stats::Rng rng(2);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.gaussian());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RngGaussian);
+
+/**
+ * What the serving engine pays per RPC attempt: fork a child stream and
+ * draw a handful of values from it. The lazy seed chain up to the first
+ * twisted word dominates.
+ */
+void
+BM_RngForkDraw6(benchmark::State &state)
+{
+    const stats::Rng parent(3);
+    std::uint64_t salt = 0;
+    for (auto _ : state) {
+        stats::Rng child = parent.fork(salt++);
+        double sum = 0.0;
+        for (int i = 0; i < 6; ++i)
+            sum += child.uniform();
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RngForkDraw6);
+
+void
+BM_GenerateDrm1Request(benchmark::State &state)
+{
+    const auto spec = model::makeDrm1();
+    workload::RequestGenerator gen(spec, workload::GeneratorConfig{42, 0.0});
+    for (auto _ : state) {
+        const workload::Request req = gen.next();
+        benchmark::DoNotOptimize(req.content_hash);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_GenerateDrm1Request);
 
 } // namespace
 

@@ -22,7 +22,14 @@ LognormalSampler::mean() const
 BoundedParetoSampler::BoundedParetoSampler(double alpha, double lo, double hi)
     : alpha_(alpha), lo_(lo), hi_(hi)
 {
-    assert(alpha > 0.0 && lo > 0.0 && hi >= lo);
+    if (!(std::isfinite(alpha) && std::isfinite(lo) && std::isfinite(hi)))
+        throw std::invalid_argument(
+            "BoundedParetoSampler: alpha, lo and hi must be finite");
+    if (!(alpha > 0.0 && lo > 0.0 && hi >= lo))
+        throw std::invalid_argument(
+            "BoundedParetoSampler: needs alpha > 0, lo > 0 and hi >= lo");
+    lo_pow_ = std::pow(lo_, alpha_);
+    hi_pow_ = std::pow(hi_, alpha_);
 }
 
 double
@@ -32,11 +39,9 @@ BoundedParetoSampler::sample(Rng &rng) const
         return lo_;
     // Inverse CDF of the bounded Pareto distribution.
     const double u = rng.uniform();
-    const double la = std::pow(lo_, alpha_);
-    const double ha = std::pow(hi_, alpha_);
-    const double x = std::pow(-(u * ha - u * la - ha) / (ha * la),
-                              -1.0 / alpha_);
-    return x;
+    return std::pow(-(u * hi_pow_ - u * lo_pow_ - hi_pow_) /
+                        (hi_pow_ * lo_pow_),
+                    -1.0 / alpha_);
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s)

@@ -57,6 +57,10 @@ class LognormalSampler
 class BoundedParetoSampler
 {
   public:
+    /**
+     * Throws std::invalid_argument unless alpha > 0, lo > 0 and hi >= lo,
+     * all finite.
+     */
     BoundedParetoSampler(double alpha, double lo, double hi);
 
     double sample(Rng &rng) const;
@@ -69,7 +73,30 @@ class BoundedParetoSampler
     double alpha_;
     double lo_;
     double hi_;
+    double lo_pow_; //!< lo^alpha, for the inverse CDF.
+    double hi_pow_; //!< hi^alpha.
 };
+
+/**
+ * Poisson draw by Knuth's multiplication method: multiply uniforms until
+ * the product drops to exp(-mean) or below. Costs mean + 1 draws on
+ * average, so it suits small means only. A mean <= 0 returns 0 without
+ * drawing.
+ */
+inline std::int32_t
+knuthPoisson(double mean, Rng &rng)
+{
+    if (mean <= 0.0)
+        return 0;
+    const double l = std::exp(-mean);
+    double p = 1.0;
+    std::int32_t k = 0;
+    do {
+        ++k;
+        p *= rng.uniform();
+    } while (p > l);
+    return k - 1;
+}
 
 /**
  * Zipf sampler over ranks 1..n with exponent s, via inverse-CDF on the

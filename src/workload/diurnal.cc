@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "stats/distributions.h"
 #include "stats/hash.h"
 #include "stats/rng.h"
 
@@ -12,22 +13,6 @@ namespace dri::workload {
 namespace {
 
 constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
-
-/** Small-mean Poisson draw (Knuth); burst rates are O(1) per epoch. */
-int
-samplePoisson(double mean, stats::Rng &rng)
-{
-    if (mean <= 0.0)
-        return 0;
-    const double l = std::exp(-mean);
-    double p = 1.0;
-    int k = 0;
-    do {
-        ++k;
-        p *= rng.uniform();
-    } while (p > l);
-    return k - 1;
-}
 
 } // namespace
 
@@ -76,7 +61,8 @@ DiurnalLoadModel::burstCount(int epoch) const
         config_.seed ^ (0xb1a5e5ULL + static_cast<std::uint64_t>(
                                           static_cast<std::uint32_t>(epoch)) *
                                           0x9e3779b97f4a7c15ULL)));
-    return samplePoisson(config_.bursts_per_epoch, rng);
+    // Burst rates are O(1) per epoch: Knuth's method is exact and cheap.
+    return stats::knuthPoisson(config_.bursts_per_epoch, rng);
 }
 
 double

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "stats/hash.h"
 
@@ -65,6 +66,12 @@ RequestGenerator::RequestGenerator(const model::ModelSpec &spec,
     : spec_(spec), config_(config), rng_(config.seed),
       items_sampler_(spec.items_alpha, spec.items_min, spec.items_max)
 {
+    // A NaN fails both comparisons; an amplitude of 1 or more would
+    // scale some requests to zero or fewer items.
+    if (!(config_.diurnal_amplitude >= 0.0 &&
+          config_.diurnal_amplitude < 1.0))
+        throw std::invalid_argument(
+            "RequestGenerator: diurnal_amplitude must be in [0, 1)");
 }
 
 namespace {
@@ -77,19 +84,8 @@ namespace {
 std::int32_t
 sampleCount(double mean, stats::Rng &rng)
 {
-    if (mean <= 0.0)
-        return 0;
-    if (mean < 32.0) {
-        // Knuth's method.
-        const double l = std::exp(-mean);
-        double p = 1.0;
-        std::int32_t k = 0;
-        do {
-            ++k;
-            p *= rng.uniform();
-        } while (p > l);
-        return k - 1;
-    }
+    if (mean < 32.0)
+        return stats::knuthPoisson(mean, rng);
     const double draw = rng.gaussian(mean, std::sqrt(mean));
     return static_cast<std::int32_t>(std::max(0.0, std::round(draw)));
 }

@@ -64,7 +64,8 @@ struct GeneratorConfig
     /**
      * Diurnal modulation amplitude in [0, 1): scales request sizes
      * sinusoidally across the generated sequence, emulating the paper's
-     * five-day evenly sampled request database.
+     * five-day evenly sampled request database. RequestGenerator throws
+     * std::invalid_argument for a value outside [0, 1) or NaN.
      */
     double diurnal_amplitude = 0.0;
 };
@@ -73,6 +74,11 @@ struct GeneratorConfig
 class RequestGenerator
 {
   public:
+    /**
+     * Throws std::invalid_argument for a diurnal_amplitude outside
+     * [0, 1), or a spec whose items_alpha, items_min and items_max a
+     * BoundedParetoSampler rejects.
+     */
     RequestGenerator(const model::ModelSpec &spec, GeneratorConfig config);
 
     /** Generate the next request. */

@@ -12,7 +12,8 @@
  *  - stats::Rng's hand-rolled draw helpers (uniform, gaussian,
  *    exponential, bernoulli) are bit-identical to per-call-constructed
  *    libstdc++ distribution objects over the same engine stream (the
- *    contract rng.h declares);
+ *    contract rng.h declares), and the branch-free word-to-double
+ *    conversion under them equals the plain cast at every edge word;
  *  - fleet::ParallelSweep produces byte-identical ledgers (simulation
  *    AND telemetry fingerprints) at thread counts {1, 2, 8};
  *  - an untraced serving replay keeps no per-request or per-RPC state:
@@ -26,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -40,6 +42,7 @@
 #include "fleet/study.h"
 #include "model/generators.h"
 #include "sim/engine.h"
+#include "stats/hash.h"
 #include "stats/mt64.h"
 #include "stats/rng.h"
 #include "workload/request_generator.h"
@@ -228,6 +231,42 @@ TEST(SimPerf, Mt64MatchesStdMt19937_64)
                       std::uniform_real_distribution<double>(0, 1)(m2))
                 << i;
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// canonicalFromWord == the plain cast, at the words where rounding bites.
+// ---------------------------------------------------------------------------
+
+TEST(SimPerf, CanonicalMatchesCastAtEdgeWords)
+{
+    const auto viaCast = [](std::uint64_t w) {
+        const double r = static_cast<double>(w) * 0x1p-64;
+        return r >= 1.0 ? std::nextafter(1.0, 0.0) : r;
+    };
+    constexpr std::uint64_t k53 = std::uint64_t{1} << 53;
+    constexpr std::uint64_t k63 = std::uint64_t{1} << 63;
+    constexpr std::uint64_t k10 = std::uint64_t{1} << 10;
+    const std::uint64_t edges[] = {
+        0, 1, k53 - 1, k53, k53 + 1, k63 - 1, k63, k63 + 1,
+        // Round-to-even ties just above 2^63, one to each neighbour.
+        k63 + k10, k63 + 3 * k10,
+        // The top of the range: the last word that rounds down, then the
+        // first that rounds up to 2^64 (clamped below 1).
+        ~std::uint64_t{0} - k10, ~std::uint64_t{0} - k10 + 1,
+        ~std::uint64_t{0}};
+    for (const std::uint64_t w : edges)
+        ASSERT_EQ(stats::canonicalFromWord(w), viaCast(w)) << "w=" << w;
+    EXPECT_LT(stats::canonicalFromWord(~std::uint64_t{0}), 1.0);
+
+    // SplitMix64 words with the top bit on: the half gcc's cast branches
+    // to, and the half where rounding can carry.
+    std::uint64_t state = 0x5eed;
+    for (int i = 0; i < 1000000; ++i) {
+        state += 0x9e3779b97f4a7c15ULL;
+        const std::uint64_t w = stats::mix64(state) | k63;
+        ASSERT_EQ(stats::canonicalFromWord(w), viaCast(w))
+            << "w=" << w << " i=" << i;
     }
 }
 

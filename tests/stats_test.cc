@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -121,6 +122,48 @@ TEST(BoundedPareto, DegenerateRange)
     Rng rng(19);
     BoundedParetoSampler s(2.0, 5.0, 5.0);
     EXPECT_DOUBLE_EQ(s.sample(rng), 5.0);
+}
+
+TEST(BoundedPareto, RejectsBadParameters)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(BoundedParetoSampler(0.0, 1.0, 2.0), std::invalid_argument);
+    EXPECT_THROW(BoundedParetoSampler(-1.0, 1.0, 2.0),
+                 std::invalid_argument);
+    EXPECT_THROW(BoundedParetoSampler(1.1, 0.0, 2.0), std::invalid_argument);
+    EXPECT_THROW(BoundedParetoSampler(1.1, -1.0, 2.0),
+                 std::invalid_argument);
+    EXPECT_THROW(BoundedParetoSampler(1.1, 3.0, 2.0), std::invalid_argument);
+    EXPECT_THROW(BoundedParetoSampler(nan, 1.0, 2.0), std::invalid_argument);
+    EXPECT_THROW(BoundedParetoSampler(1.1, nan, 2.0), std::invalid_argument);
+    EXPECT_THROW(BoundedParetoSampler(1.1, 1.0, nan), std::invalid_argument);
+    EXPECT_THROW(BoundedParetoSampler(inf, 1.0, 2.0), std::invalid_argument);
+    EXPECT_THROW(BoundedParetoSampler(1.1, 1.0, inf), std::invalid_argument);
+    EXPECT_NO_THROW(BoundedParetoSampler(1.1, 1.0, 1.0));
+}
+
+TEST(KnuthPoisson, NonPositiveMeanDrawsNothing)
+{
+    Rng rng(29), ref(29);
+    EXPECT_EQ(knuthPoisson(0.0, rng), 0);
+    EXPECT_EQ(knuthPoisson(-2.0, rng), 0);
+    EXPECT_EQ(rng.uniform(), ref.uniform()); // the stream did not move
+}
+
+TEST(KnuthPoisson, MeanMatches)
+{
+    Rng rng(31);
+    for (const double mean : {0.5, 3.0, 20.0}) {
+        double sum = 0.0;
+        const int n = 20000;
+        for (int i = 0; i < n; ++i) {
+            const auto k = knuthPoisson(mean, rng);
+            ASSERT_GE(k, 0);
+            sum += k;
+        }
+        EXPECT_NEAR(sum / n, mean, 0.05 * mean + 0.02) << mean;
+    }
 }
 
 TEST(Zipf, RankZeroMostPopular)

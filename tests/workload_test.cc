@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 
 #include "model/generators.h"
 #include "stats/hash.h"
@@ -137,6 +139,33 @@ TEST(RequestGenerator, DiurnalModulationChangesSizes)
     for (std::size_t i = 0; i < a.size(); ++i)
         any_diff = any_diff || a[i].items != b[i].items;
     EXPECT_TRUE(any_diff);
+}
+
+TEST(RequestGenerator, RejectsBadDiurnalAmplitude)
+{
+    // A negative amplitude would be ignored; one of 1 or more (or NaN)
+    // would scale requests to one item.
+    const auto spec = model::makeDrm1();
+    for (const double a : {-0.1, 1.0, 1.5,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()})
+        EXPECT_THROW(RequestGenerator(spec, GeneratorConfig{1, a}),
+                     std::invalid_argument)
+            << a;
+    EXPECT_NO_THROW(RequestGenerator(spec, GeneratorConfig{1, 0.0}));
+    EXPECT_NO_THROW(RequestGenerator(spec, GeneratorConfig{1, 0.99}));
+}
+
+TEST(RequestGenerator, RejectsBadItemsDistribution)
+{
+    auto spec = model::makeDrm1();
+    spec.items_min = 0.0;
+    EXPECT_THROW(RequestGenerator(spec, GeneratorConfig{}),
+                 std::invalid_argument);
+    spec = model::makeDrm1();
+    spec.items_max = spec.items_min / 2;
+    EXPECT_THROW(RequestGenerator(spec, GeneratorConfig{}),
+                 std::invalid_argument);
 }
 
 TEST(RequestGenerator, HeavyTailP99OverP50)
