@@ -631,6 +631,24 @@ TEST_F(ServingStressTest, GoldenFingerprintsMatchParent)
             "admission");
     }
 
+    // Mid-flight shedding with a deadline shorter than the main-queue
+    // wait: the deadline timer sheds requests still queued for a main
+    // core (their Active is released at the grant) and requests in
+    // request deserde (released when deserde ends).
+    {
+        auto cfg = configFor(GridPoint{false, false, false, false});
+        cfg.worker_threads = 2;
+        cfg.admission.deadline_ns = 4 * sim::kMillisecond;
+        cfg.admission.cancel_in_flight = true;
+        expectGolden(
+            spec_, plan_, cfg,
+            [this](core::ServingSimulation &sim) {
+                return sim.replayOpenLoop(requests_, 1500.0);
+            },
+            Golden{0x292cb761fc06edffULL, 0x5cc7b48a4d37f65aULL},
+            "queued shed");
+    }
+
     // Faults mid-run with hedging, the result cache and mid-flight
     // shedding on: replicas die under load (one shard loses all three),
     // another slows down, a shard is cut off and healed, and dead
