@@ -1,6 +1,7 @@
 #include "core/serving.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdlib>
 #include <deque>
@@ -126,7 +127,6 @@ struct ServingSimulation::Impl
     struct AttemptExec
     {
         bool executing = false;
-        bool finished = false;  //!< ran its busy period to completion
         bool cancelled = false; //!< aborted mid-execution by the winner
         int server = -1;
         /**
@@ -784,19 +784,19 @@ struct ServingSimulation::Impl
     }
 
     /**
-     * Retire an attempt whose op was decided before it could win — it
-     * lost the race, or its request was shed: close its span with
-     * @p flags, count it (a backup that @p executed lost, any other
-     * backup was cancelled), and drop its context and op reference.
+     * Retire an attempt whose op was decided before it could execute —
+     * it lost the race, or its request was shed: close its span with
+     * @p flags, count a backup as cancelled, and drop its context and
+     * op reference. (An executing attempt is aborted by whoever decides
+     * its op, so it never reaches here.)
      */
     void
-    retireAttempt(RpcOp *op, int idx, AttemptCtx *ctx, std::uint8_t flags,
-                  bool executed = false)
+    retireAttempt(RpcOp *op, int idx, AttemptCtx *ctx, std::uint8_t flags)
     {
         if (tr)
             tr->end(op->exec[idx].sp_attempt, engine.now(), flags);
         if (idx == 1)
-            ++(executed ? hedge_stats.losses : hedge_stats.cancelled);
+            ++hedge_stats.cancelled;
         if (ctx != nullptr)
             attempt_pool.release(ctx);
         derefOp(op);
@@ -1685,14 +1685,10 @@ struct ServingSimulation::Impl
                     if (tr)
                         tr->end(self.sp_exec, engine.now(),
                                 obs::kFlagCancelled | obs::kFlagFault);
-                    if (op->won) {
-                        // A sibling already answered; this was duplicate
-                        // work and stays accounted as such.
-                        hedge_stats.wasted_busy_ns += static_cast<double>(busy);
-                        retireAttempt(op, idx, ctx,
-                                      loseFlags(op) | obs::kFlagFault, true);
-                        return;
-                    }
+                    // Whoever decides an op (race win or shed) first
+                    // aborts its executing attempts, so this one's op is
+                    // still undecided.
+                    assert(!op->won);
                     attempt_pool.release(ctx);
                     // Reverse the hedge pre-charge: a fault loss is not
                     // a hedge outcome, so hedge_wasted_cpu_ns stays a
@@ -1702,20 +1698,8 @@ struct ServingSimulation::Impl
                     attemptFailed(op, idx);
                     return;
                 }
-                self.finished = true;
                 sparse_cores[static_cast<std::size_t>(server)]->release();
-                if (op->won) {
-                    // Lost the race after executing to completion (the
-                    // winner finished in the same event round): wasted
-                    // duplicate work. The request may already be
-                    // finalized, so only simulation-level counters are
-                    // touched here.
-                    if (tr)
-                        tr->end(self.sp_exec, engine.now(), obs::kFlagLoser);
-                    hedge_stats.wasted_busy_ns += static_cast<double>(busy);
-                    retireAttempt(op, idx, ctx, obs::kFlagLoser, true);
-                    return;
-                }
+                assert(!op->won); // an executing attempt is never a loser
                 if (tr)
                     tr->end(self.sp_exec, engine.now());
                 op->won = true;

@@ -10,40 +10,8 @@ namespace dri::obs {
 
 namespace {
 
-/** Shared EWMA baseline update for both detectors. */
-struct Baseline
-{
-    double level;
-    double abs_dev;
-
-    static double
-    floorSpread(double abs_dev, double level, double min_fraction)
-    {
-        const double floor_v =
-            std::max(1e-12, min_fraction * std::abs(level));
-        return std::max(abs_dev, floor_v);
-    }
-};
-
 /** Sigma estimate from a mean-absolute-deviation tracker. */
 constexpr double kMadToSigma = 1.4826;
-
-double
-zScore(double value, double level, double abs_dev, double min_fraction)
-{
-    const double spread =
-        Baseline::floorSpread(abs_dev, level, min_fraction);
-    return (value - level) / (kMadToSigma * spread);
-}
-
-void
-learn(double &level, double &abs_dev, double value, double level_alpha,
-      double spread_alpha)
-{
-    const double dev = std::abs(value - level);
-    level += level_alpha * (value - level);
-    abs_dev += spread_alpha * (dev - abs_dev);
-}
 
 double
 median(std::vector<double> values)
@@ -93,9 +61,11 @@ EwmaMadDetector::EwmaMadDetector(EwmaMadConfig config) : cfg_(config) {}
 double
 EwmaMadDetector::sigma() const
 {
-    return kMadToSigma *
-           Baseline::floorSpread(abs_dev_, level_,
-                                 cfg_.min_spread_fraction);
+    // Floor the spread: a perfectly flat baseline must not make every
+    // epsilon an infinite-sigma anomaly.
+    const double floor_v =
+        std::max(1e-12, cfg_.min_spread_fraction * std::abs(level_));
+    return kMadToSigma * std::max(abs_dev_, floor_v);
 }
 
 bool
@@ -110,13 +80,13 @@ EwmaMadDetector::step(double value)
         last_z_ = 0.0;
         return false;
     }
-    last_z_ = zScore(value, level_, abs_dev_,
-                     cfg_.min_spread_fraction);
+    last_z_ = (value - level_) / sigma();
     const bool flagged = std::abs(last_z_) >= cfg_.z_threshold;
     const double w =
         flagged ? cfg_.contaminated_learn_fraction : 1.0;
-    learn(level_, abs_dev_, value, w * cfg_.level_alpha,
-          w * cfg_.spread_alpha);
+    const double dev = std::abs(value - level_);
+    level_ += w * cfg_.level_alpha * (value - level_);
+    abs_dev_ += w * cfg_.spread_alpha * (dev - abs_dev_);
     ++seen_;
     return flagged;
 }
@@ -132,57 +102,7 @@ EwmaMadDetector::reset()
 }
 
 // ---------------------------------------------------------------------------
-// CusumDetector.
-// ---------------------------------------------------------------------------
-
-CusumDetector::CusumDetector(CusumConfig config) : cfg_(config) {}
-
-bool
-CusumDetector::step(double value)
-{
-    const int warmup = std::max(1, cfg_.warmup_samples);
-    if (seen_ < warmup) {
-        warmup_.push_back(value);
-        ++seen_;
-        if (seen_ == warmup)
-            initFromWarmup(warmup_, level_, abs_dev_);
-        return false;
-    }
-    const double z = zScore(value, level_, abs_dev_,
-                            cfg_.min_spread_fraction);
-    g_pos_ = std::max(0.0, g_pos_ + z - cfg_.k);
-    g_neg_ = std::max(0.0, g_neg_ - z - cfg_.k);
-    bool flagged = false;
-    if (g_pos_ > cfg_.h || g_neg_ > cfg_.h) {
-        flagged = true;
-        // Restart the accumulation; the baseline re-learns the
-        // post-change level at the contaminated rate below.
-        g_pos_ = 0.0;
-        g_neg_ = 0.0;
-    }
-    const bool contaminated =
-        flagged || g_pos_ > 0.0 || g_neg_ > 0.0;
-    const double w =
-        contaminated ? cfg_.contaminated_learn_fraction : 1.0;
-    learn(level_, abs_dev_, value, w * cfg_.level_alpha,
-          w * cfg_.spread_alpha);
-    ++seen_;
-    return flagged;
-}
-
-void
-CusumDetector::reset()
-{
-    warmup_.clear();
-    level_ = 0.0;
-    abs_dev_ = 0.0;
-    g_pos_ = 0.0;
-    g_neg_ = 0.0;
-    seen_ = 0;
-}
-
-// ---------------------------------------------------------------------------
-// Evaluation harness.
+// Scoring.
 // ---------------------------------------------------------------------------
 
 double
@@ -263,21 +183,6 @@ scoreFlags(const std::string &detector_name,
     }
     eval.missed = eval.episodes - eval.detected;
     return eval;
-}
-
-DetectionEval
-evaluateDetector(ChangeDetector &detector,
-                 const workload::DiurnalLoadModel &load, int epochs,
-                 int match_window_epochs)
-{
-    detector.reset();
-    std::vector<bool> flags(static_cast<std::size_t>(epochs), false);
-    for (int e = 0; e < epochs; ++e) {
-        const double ratio =
-            load.realizedQps(e) / std::max(1e-9, load.forecastQps(e));
-        flags[static_cast<std::size_t>(e)] = detector.step(ratio);
-    }
-    return scoreFlags(detector.name(), flags, load, match_window_epochs);
 }
 
 } // namespace dri::obs

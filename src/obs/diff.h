@@ -20,7 +20,8 @@
  *  - **In-memory** (diffAttribution): full per-shard resolution from
  *    two runs' criticalPaths() output, with optional EngineProfile
  *    secondaries (per-tag simulator event/wall deltas) and tail
- *    exemplar requests. This is what FleetSim and the tests drive.
+ *    exemplar requests. Only the tests drive it (the serving-replay
+ *    regression test in tests/trace_sampling_test.cc).
  *  - **Artifact** (explainArtifacts): gate-side resolution from two
  *    JSONL artifact rows using the `path_<bucket>_ns` mean-attribution
  *    fields bench_sim_throughput emits (per-shard detail is not in the

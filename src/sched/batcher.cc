@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace dri::sched {
 
@@ -26,7 +27,9 @@ DynamicBatcher::DynamicBatcher(core::ServingSimulation &sim,
                                BatcherConfig config)
     : sim_(sim), cfg_(config)
 {
-    assert(cfg_.max_batch_items > 0);
+    if (cfg_.max_batch_items <= 0)
+        throw std::invalid_argument(
+            "DynamicBatcher: max_batch_items must be > 0");
 }
 
 void
@@ -286,12 +289,13 @@ DynamicBatcher::meanCoalesced() const
 std::vector<core::RequestStats>
 runBatchedOpenLoop(core::ServingSimulation &sim,
                    const std::vector<workload::Request> &requests,
-                   double qps, const BatcherConfig &config,
-                   std::uint64_t arrival_seed)
+                   double qps, const BatcherConfig &config)
 {
-    assert(qps > 0.0);
+    if (!(qps > 0.0 && std::isfinite(qps)))
+        throw std::invalid_argument(
+            "runBatchedOpenLoop: qps must be > 0 and finite");
     DynamicBatcher batcher(sim, config);
-    stats::Rng arrivals(arrival_seed);
+    stats::Rng arrivals(0xa881);
     sim::Engine &engine = sim.engine();
     sim::SimTime t = engine.now();
     for (const auto &req : requests) {

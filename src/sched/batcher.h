@@ -83,7 +83,8 @@ struct BatcherConfig
 /**
  * Coalesces offered requests into merged injections on the simulation's
  * event clock. Single-use: offer() during a replay, then takeStats()
- * after the engine drains.
+ * after the engine drains. Throws std::invalid_argument unless
+ * max_batch_items > 0.
  */
 class DynamicBatcher
 {
@@ -162,14 +163,13 @@ class DynamicBatcher
  * Open-loop Poisson replay routed through a DynamicBatcher: the sched
  * sibling of ServingSimulation::replayOpenLoop. Arrivals at `qps` are
  * offered to the batcher; a final flush drains the stream. Returns
- * per-original-request stats (batcher wait included in E2E). Runs with
- * the same `arrival_seed` see identical arrival processes, so batch-
- * policy comparisons are paired.
+ * per-original-request stats (batcher wait included in E2E). Every run
+ * draws its arrivals from one fixed seed, so batch-policy comparisons
+ * are paired. Throws std::invalid_argument unless qps > 0 and finite.
  */
 std::vector<core::RequestStats>
 runBatchedOpenLoop(core::ServingSimulation &sim,
                    const std::vector<workload::Request> &requests,
-                   double qps, const BatcherConfig &config,
-                   std::uint64_t arrival_seed = 0xa881);
+                   double qps, const BatcherConfig &config);
 
 } // namespace dri::sched

@@ -1,7 +1,7 @@
 #include "sched/capacity_search.h"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/analysis.h"
 
@@ -52,8 +52,15 @@ CapacitySearch::CapacitySearch(const model::ModelSpec &spec,
     : spec_(spec), plan_(plan), serving_(std::move(serving)),
       search_(std::move(search))
 {
-    assert(search_.qps_lo > 0.0 && search_.qps_hi >= search_.qps_lo);
-    assert(search_.grid_step > 1.0);
+    // Written so NaN fails every comparison; a finite qps_hi bounds
+    // qps_lo too.
+    const CapacitySearchConfig &c = search_;
+    if (!(c.qps_lo > 0.0 && c.qps_hi >= c.qps_lo &&
+          std::isfinite(c.qps_hi) && c.grid_step > 1.0 &&
+          std::isfinite(c.grid_step)))
+        throw std::invalid_argument(
+            "CapacitySearch: need finite 0 < qps_lo <= qps_hi and "
+            "grid_step > 1");
 }
 
 CapacityProbe
@@ -61,12 +68,7 @@ CapacitySearch::probe(double qps,
                       const std::vector<workload::Request> &requests)
 {
     core::ServingSimulation sim(spec_, plan_, serving_);
-    std::vector<core::RequestStats> stats;
-    if (search_.use_batcher)
-        stats = runBatchedOpenLoop(sim, requests, qps, search_.batcher,
-                                   search_.arrival_seed);
-    else
-        stats = sim.replayOpenLoop(requests, qps);
+    const auto stats = sim.replayOpenLoop(requests, qps);
 
     const auto q = core::latencyQuantiles(stats);
     CapacityProbe p;

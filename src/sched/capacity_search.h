@@ -21,7 +21,6 @@
 #include "core/serving.h"
 #include "core/sharding_plan.h"
 #include "model/model_spec.h"
-#include "sched/batcher.h"
 #include "workload/request_generator.h"
 
 namespace dri::sched {
@@ -68,10 +67,6 @@ struct CapacitySearchConfig
     double qps_hi = 4000.0;
     /** Geometric grid step; capacity resolution is one step. */
     double grid_step = 1.05;
-    /** Route probes through a DynamicBatcher instead of raw open loop. */
-    bool use_batcher = false;
-    BatcherConfig batcher;
-    std::uint64_t arrival_seed = 0xa881;
 };
 
 /** One probed operating point. */
@@ -104,6 +99,9 @@ struct CapacityResult
  * Binary-searches the max sustainable QPS of one deployment. Every probe
  * constructs a fresh ServingSimulation from the same (spec, plan,
  * serving config), so state never leaks between operating points.
+ * The constructor throws std::invalid_argument unless 0 < qps_lo <=
+ * qps_hi and grid_step > 1, all finite (otherwise run() never finishes
+ * building its grid).
  */
 class CapacitySearch
 {

@@ -1,7 +1,8 @@
 #include "sched/provision_loop.h"
 
 #include <algorithm>
-#include <cassert>
+#include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "core/analysis.h"
@@ -11,7 +12,8 @@ namespace dri::sched {
 std::vector<int>
 evenReplicaSplit(int total, int shards)
 {
-    assert(shards > 0);
+    if (shards <= 0)
+        throw std::invalid_argument("evenReplicaSplit: shards must be > 0");
     std::vector<int> out(static_cast<std::size_t>(shards), total / shards);
     for (int i = 0; i < total % shards; ++i)
         ++out[static_cast<std::size_t>(i)];
@@ -27,10 +29,17 @@ ProvisionLoop::ProvisionLoop(const model::ModelSpec &spec,
     : spec_(spec), plan_(plan), serving_(std::move(serving)),
       cfg_(config)
 {
-    assert(plan_.numShards() > 0 && "provision loop needs sparse shards");
-    assert(cfg_.qps > 0.0 && cfg_.target_utilization > 0.0);
-    assert(cfg_.min_replicas >= 1 &&
-           cfg_.max_replicas >= cfg_.min_replicas);
+    if (plan_.numShards() <= 0)
+        throw std::invalid_argument("ProvisionLoop: needs sparse shards");
+    if (!(cfg_.qps > 0.0 && std::isfinite(cfg_.qps)) ||
+        !(cfg_.target_utilization > 0.0 &&
+          std::isfinite(cfg_.target_utilization)))
+        throw std::invalid_argument(
+            "ProvisionLoop: qps and target_utilization must be finite "
+            "and > 0");
+    if (cfg_.min_replicas < 1 || cfg_.max_replicas < cfg_.min_replicas)
+        throw std::invalid_argument(
+            "ProvisionLoop: need 1 <= min_replicas <= max_replicas");
 }
 
 ProvisionIteration
@@ -38,7 +47,9 @@ ProvisionLoop::evaluate(const std::vector<int> &replicas,
                         const std::vector<workload::Request> &requests)
 {
     const auto shards = static_cast<std::size_t>(plan_.numShards());
-    assert(replicas.size() == shards);
+    if (replicas.size() != shards)
+        throw std::invalid_argument(
+            "ProvisionLoop::evaluate: one replica count per shard");
 
     core::ServingConfig cfg = serving_;
     cfg.sparse_replicas_per_shard = replicas;

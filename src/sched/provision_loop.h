@@ -88,7 +88,10 @@ struct ProvisionLoopResult
  * The provision->simulate->re-provision fixed-point iterator. The serving
  * config's sparse_replicas / sparse_replicas_per_shard fields seed the
  * first iteration; every subsequent iteration overrides
- * sparse_replicas_per_shard with the re-provisioned vector.
+ * sparse_replicas_per_shard with the re-provisioned vector. The
+ * constructor throws std::invalid_argument for a plan without sparse
+ * shards, a non-positive or non-finite qps or target_utilization, or
+ * a replica range other than 1 <= min_replicas <= max_replicas.
  */
 class ProvisionLoop
 {
@@ -100,7 +103,8 @@ class ProvisionLoop
     /**
      * Simulate one replica vector at the target rate and measure what
      * dc::provision would derive from it. Pure (fresh simulation, no loop
-     * state); run() composes it.
+     * state); run() composes it. Throws std::invalid_argument unless
+     * `replicas` has one entry per sparse shard.
      */
     ProvisionIteration
     evaluate(const std::vector<int> &replicas,
@@ -121,7 +125,8 @@ class ProvisionLoop
 /**
  * Spread `total` replicas over `shards` as evenly as possible (earlier
  * shards take the remainder): the homogeneous baseline a load-proportional
- * vector is judged against at equal replica budget.
+ * vector is judged against at equal replica budget. Throws
+ * std::invalid_argument unless shards > 0.
  */
 std::vector<int> evenReplicaSplit(int total, int shards);
 

@@ -79,10 +79,4 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s)
     }
 }
 
-double
-PoissonProcess::nextGapSeconds(Rng &rng) const
-{
-    return rng.exponential(rate_);
-}
-
 } // namespace dri::stats

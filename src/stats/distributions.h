@@ -150,22 +150,4 @@ class ZipfSampler
     double s_;
 };
 
-/**
- * Open-loop Poisson arrival process: interarrival gaps are exponential with
- * the configured rate. Used by the 25 QPS experiment (Fig. 16).
- */
-class PoissonProcess
-{
-  public:
-    explicit PoissonProcess(double rate_per_sec) : rate_(rate_per_sec) {}
-
-    /** Next interarrival gap in seconds. */
-    double nextGapSeconds(Rng &rng) const;
-
-    double rate() const { return rate_; }
-
-  private:
-    double rate_;
-};
-
 } // namespace dri::stats

@@ -7,59 +7,19 @@
 
 namespace dri::stats {
 
-QuantileEstimator::QuantileEstimator(std::size_t rolling_capacity)
-    : rolling_capacity_(rolling_capacity)
-{
-}
-
-void
-QuantileEstimator::evictOverflow()
-{
-    if (rolling_capacity_ == 0)
-        return;
-    if (count() > rolling_capacity_)
-        head_ = samples_.size() - rolling_capacity_;
-    // Compact once the dead prefix dominates, keeping add() amortized
-    // O(1): each erased element was appended exactly once.
-    if (head_ > 64 && head_ > samples_.size() / 2) {
-        samples_.erase(samples_.begin(),
-                       samples_.begin() + static_cast<std::ptrdiff_t>(head_));
-        head_ = 0;
-    }
-}
-
 void
 QuantileEstimator::add(double sample)
 {
     samples_.push_back(sample);
-    evictOverflow();
-    sorted_valid_ = false;
-}
-
-void
-QuantileEstimator::addAll(const std::vector<double> &samples)
-{
-    samples_.insert(samples_.end(), samples.begin(), samples.end());
-    evictOverflow();
-    sorted_valid_ = false;
-}
-
-void
-QuantileEstimator::setRollingCapacity(std::size_t capacity)
-{
-    rolling_capacity_ = capacity;
-    evictOverflow();
-    sorted_valid_ = false;
+    sorted_ = false;
 }
 
 void
 QuantileEstimator::ensureSorted() const
 {
-    if (!sorted_valid_) {
-        sorted_.assign(samples_.begin() + static_cast<std::ptrdiff_t>(head_),
-                       samples_.end());
-        std::sort(sorted_.begin(), sorted_.end());
-        sorted_valid_ = true;
+    if (!sorted_) {
+        std::sort(samples_.begin(), samples_.end());
+        sorted_ = true;
     }
 }
 
@@ -69,13 +29,13 @@ QuantileEstimator::quantile(double q) const
     assert(!empty());
     assert(q >= 0.0 && q <= 1.0);
     ensureSorted();
-    if (sorted_.size() == 1)
-        return sorted_.front();
-    const double pos = q * static_cast<double>(sorted_.size() - 1);
+    if (samples_.size() == 1)
+        return samples_.front();
+    const double pos = q * static_cast<double>(samples_.size() - 1);
     const auto lo = static_cast<std::size_t>(std::floor(pos));
     const auto hi = static_cast<std::size_t>(std::ceil(pos));
     const double frac = pos - static_cast<double>(lo);
-    return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
+    return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
 }
 
 double
@@ -89,41 +49,16 @@ double
 QuantileEstimator::sum() const
 {
     // Accumulate in sorted order: the sum then depends only on the
-    // live multiset, so merged-shard and whole-stream estimators agree
-    // to the bit (the contract the merge tests pin down).
+    // multiset, not on arrival order.
     ensureSorted();
-    return std::accumulate(sorted_.begin(), sorted_.end(), 0.0);
-}
-
-void
-QuantileEstimator::merge(const QuantileEstimator &other)
-{
-    if (other.empty())
-        return;
-    if (&other == this) {
-        // Self-merge doubles the stream; copy first so the insertion
-        // never reads through iterators a reallocation invalidated.
-        const std::vector<double> copy(
-            samples_.begin() + static_cast<std::ptrdiff_t>(head_),
-            samples_.end());
-        samples_.insert(samples_.end(), copy.begin(), copy.end());
-    } else {
-        samples_.insert(samples_.end(),
-                        other.samples_.begin() +
-                            static_cast<std::ptrdiff_t>(other.head_),
-                        other.samples_.end());
-    }
-    evictOverflow();
-    sorted_valid_ = false;
+    return std::accumulate(samples_.begin(), samples_.end(), 0.0);
 }
 
 void
 QuantileEstimator::clear()
 {
     samples_.clear();
-    sorted_.clear();
-    head_ = 0;
-    sorted_valid_ = true;
+    sorted_ = true;
 }
 
 } // namespace dri::stats

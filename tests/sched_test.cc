@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 #include "core/analysis.h"
 #include "core/serving.h"
@@ -538,6 +540,108 @@ TEST(CapacitySearch, CapacityMonotoneInReplicas)
         prev = cap;
     }
     EXPECT_GT(prev, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Bad input is rejected in every build, not only where assert() is live.
+// These tests only construct: none runs the loop the bad value would
+// make unbounded.
+// ---------------------------------------------------------------------------
+
+TEST(CapacitySearch, RejectsBadSearchRange)
+{
+    const auto spec = testSpec();
+    const auto plan = testPlan(spec);
+    const auto cfg =
+        sparseBoundConfig(2, rpc::LoadBalancePolicy::LeastOutstanding);
+    const auto build = [&](double lo, double hi, double step) {
+        sched::CapacitySearchConfig sc;
+        sc.qps_lo = lo;
+        sc.qps_hi = hi;
+        sc.grid_step = step;
+        sched::CapacitySearch search(spec, plan, cfg, sc);
+    };
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_NO_THROW(build(20.0, 4000.0, 1.05));
+    EXPECT_NO_THROW(build(100.0, 100.0, 1.05));
+    // Each of these would make run() grow its grid forever.
+    EXPECT_THROW(build(0.0, 4000.0, 1.05), std::invalid_argument);
+    EXPECT_THROW(build(20.0, 4000.0, 1.0), std::invalid_argument);
+    EXPECT_THROW(build(20.0, 4000.0, 0.5), std::invalid_argument);
+    EXPECT_THROW(build(-5.0, 4000.0, 1.05), std::invalid_argument);
+    EXPECT_THROW(build(20.0, 10.0, 1.05), std::invalid_argument);
+    EXPECT_THROW(build(20.0, inf, 1.05), std::invalid_argument);
+    EXPECT_THROW(build(20.0, 4000.0, inf), std::invalid_argument);
+    EXPECT_THROW(build(nan, 4000.0, 1.05), std::invalid_argument);
+    EXPECT_THROW(build(20.0, nan, 1.05), std::invalid_argument);
+    EXPECT_THROW(build(20.0, 4000.0, nan), std::invalid_argument);
+}
+
+TEST(DynamicBatcher, RejectsNonPositiveBatchCap)
+{
+    const auto spec = testSpec();
+    const auto plan = testPlan(spec);
+    core::ServingSimulation sim(spec, plan, core::ServingConfig{});
+    sched::BatcherConfig bc;
+    bc.max_batch_items = 0;
+    EXPECT_THROW(sched::DynamicBatcher(sim, bc), std::invalid_argument);
+    bc.max_batch_items = -1;
+    EXPECT_THROW(sched::DynamicBatcher(sim, bc), std::invalid_argument);
+}
+
+TEST(Sched, BatchedReplayRejectsNonPositiveRate)
+{
+    const auto spec = testSpec();
+    const auto plan = testPlan(spec);
+    const auto requests = testRequests(spec, 4);
+    core::ServingSimulation sim(spec, plan, core::ServingConfig{});
+    const sched::BatcherConfig bc;
+    for (const double qps :
+         {0.0, -1.0, std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN()})
+        EXPECT_THROW(sched::runBatchedOpenLoop(sim, requests, qps, bc),
+                     std::invalid_argument)
+            << qps;
+}
+
+TEST(ProvisionLoop, RejectsBadConfig)
+{
+    const auto spec = testSpec();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    const auto cfg =
+        sparseBoundConfig(2, rpc::LoadBalancePolicy::LeastOutstanding);
+    const auto build = [&](const core::ShardingPlan &p,
+                           const sched::ProvisionLoopConfig &pc) {
+        sched::ProvisionLoop loop(spec, p, cfg, pc);
+    };
+    const sched::ProvisionLoopConfig good;
+    EXPECT_NO_THROW(build(plan, good));
+    EXPECT_THROW(build(core::makeSingular(spec), good),
+                 std::invalid_argument);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double bad :
+         {0.0, -1.0, std::numeric_limits<double>::infinity(), nan}) {
+        auto pc = good;
+        pc.qps = bad;
+        EXPECT_THROW(build(plan, pc), std::invalid_argument) << bad;
+        pc = good;
+        pc.target_utilization = bad;
+        EXPECT_THROW(build(plan, pc), std::invalid_argument) << bad;
+    }
+    auto pc = good;
+    pc.min_replicas = 0;
+    EXPECT_THROW(build(plan, pc), std::invalid_argument);
+    pc = good;
+    pc.min_replicas = 4;
+    pc.max_replicas = 3;
+    EXPECT_THROW(build(plan, pc), std::invalid_argument);
+    // The public entry points that take a shard count or a per-shard
+    // vector check it too.
+    EXPECT_THROW(sched::evenReplicaSplit(4, 0), std::invalid_argument);
+    sched::ProvisionLoop loop(spec, plan, cfg, good);
+    const auto requests = testRequests(spec, 4);
+    EXPECT_THROW(loop.evaluate({1, 1, 1}, requests), std::invalid_argument);
 }
 
 } // namespace

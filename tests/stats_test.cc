@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit and property tests for the stats substrate: RNG determinism,
- * distribution moments, exact quantiles, histograms, running summaries.
+ * distribution moments, exact quantiles, histograms, utilization.
  */
 #include <gtest/gtest.h>
 
@@ -248,17 +248,6 @@ TEST(Zipf, RejectsEmptySupport)
                  std::invalid_argument);
 }
 
-TEST(Poisson, MeanGapMatchesRate)
-{
-    Rng rng(31);
-    PoissonProcess p(25.0);
-    double total = 0.0;
-    const int n = 20000;
-    for (int i = 0; i < n; ++i)
-        total += p.nextGapSeconds(rng);
-    EXPECT_NEAR(total / n, 1.0 / 25.0, 0.002);
-}
-
 TEST(Quantile, ExactAgainstSortedSamples)
 {
     QuantileEstimator q;
@@ -281,7 +270,8 @@ TEST(Quantile, SingleSample)
 TEST(Quantile, MeanAndSum)
 {
     QuantileEstimator q;
-    q.addAll({1.0, 2.0, 3.0, 4.0});
+    for (const double v : {1.0, 2.0, 3.0, 4.0})
+        q.add(v);
     EXPECT_DOUBLE_EQ(q.mean(), 2.5);
     EXPECT_DOUBLE_EQ(q.sum(), 10.0);
 }
@@ -305,51 +295,30 @@ TEST(Quantile, ClearResets)
 }
 
 /**
- * Merged per-shard estimators answer every query exactly like one
- * estimator fed the whole stream — the property that lets fleet
- * segments aggregate tails without centralizing samples.
+ * The sum (and so the mean) depends only on the multiset of samples,
+ * not on arrival order or on queries interleaved with the adds: the
+ * estimator sorts its one buffer in place and accumulates in sorted
+ * order.
  */
-TEST(Quantile, MergedShardsMatchWholeStream)
+TEST(Quantile, SumIsIndependentOfArrivalOrder)
 {
     Rng rng(0x5eed);
-    QuantileEstimator whole;
-    QuantileEstimator shards[4];
-    for (int i = 0; i < 4000; ++i) {
-        const double v = rng.gaussian(10.0, 5.0);
-        whole.add(v);
-        shards[i % 4].add(v);
+    std::vector<double> vals;
+    for (int i = 0; i < 4000; ++i)
+        vals.push_back(rng.gaussian(10.0, 5.0));
+    QuantileEstimator forward, backward;
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+        forward.add(vals[i]);
+        if (i % 997 == 0)
+            static_cast<void>(forward.p99()); // sort mid-stream
     }
-    QuantileEstimator merged;
-    for (const auto &s : shards)
-        merged.merge(s);
-    ASSERT_EQ(merged.count(), whole.count());
-    for (double p = 0.0; p <= 1.0; p += 0.01)
-        EXPECT_DOUBLE_EQ(merged.quantile(p), whole.quantile(p)) << p;
-    EXPECT_DOUBLE_EQ(merged.p999(), whole.p999());
-    // Both buffers are sorted after the queries above, so the sums run
-    // in the same order and must agree to the bit.
-    EXPECT_DOUBLE_EQ(merged.sum(), whole.sum());
-}
-
-TEST(Quantile, MergeEdgeCases)
-{
-    QuantileEstimator a, empty;
-    a.addAll({3.0, 1.0, 2.0});
-    // Merging an empty estimator changes nothing.
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.p50(), 2.0);
-    // Merging INTO an empty estimator adopts the samples.
-    empty.merge(a);
-    EXPECT_EQ(empty.count(), 3u);
-    EXPECT_DOUBLE_EQ(empty.p50(), 2.0);
-    // Self-merge doubles the stream without corrupting it.
-    a.merge(a);
-    EXPECT_EQ(a.count(), 6u);
-    EXPECT_DOUBLE_EQ(a.min(), 1.0);
-    EXPECT_DOUBLE_EQ(a.max(), 3.0);
-    EXPECT_DOUBLE_EQ(a.p50(), 2.0);
-    EXPECT_DOUBLE_EQ(a.sum(), 12.0);
+    for (auto it = vals.rbegin(); it != vals.rend(); ++it)
+        backward.add(*it);
+    ASSERT_EQ(forward.count(), backward.count());
+    EXPECT_EQ(forward.sum(), backward.sum());
+    EXPECT_EQ(forward.mean(), backward.mean());
+    for (const double p : {0.0, 0.5, 0.99, 0.999, 1.0})
+        EXPECT_EQ(forward.quantile(p), backward.quantile(p)) << p;
 }
 
 /** Property: quantiles are monotone in q. */
@@ -419,56 +388,6 @@ TEST(Histogram, RenderContainsCounts)
     EXPECT_NE(out.find("1"), std::string::npos);
 }
 
-TEST(Summary, WelfordMatchesDirect)
-{
-    RunningSummary s;
-    Rng rng(41);
-    std::vector<double> vals;
-    for (int i = 0; i < 1000; ++i) {
-        const double v = rng.gaussian(5.0, 2.0);
-        vals.push_back(v);
-        s.add(v);
-    }
-    double mean = 0.0;
-    for (double v : vals)
-        mean += v;
-    mean /= vals.size();
-    double var = 0.0;
-    for (double v : vals)
-        var += (v - mean) * (v - mean);
-    var /= vals.size();
-    EXPECT_NEAR(s.mean(), mean, 1e-9);
-    EXPECT_NEAR(s.variance(), var, 1e-6);
-}
-
-TEST(Summary, MergeEqualsSequential)
-{
-    Rng rng(43);
-    RunningSummary all, a, b;
-    for (int i = 0; i < 500; ++i) {
-        const double v = rng.uniform(0.0, 100.0);
-        all.add(v);
-        (i % 2 == 0 ? a : b).add(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(Summary, MergeWithEmpty)
-{
-    RunningSummary a, b;
-    a.add(1.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 1u);
-    b.merge(a);
-    EXPECT_EQ(b.count(), 1u);
-    EXPECT_DOUBLE_EQ(b.mean(), 1.0);
-}
-
 TEST(Quantile, P999TracksExtremeTail)
 {
     QuantileEstimator q;
@@ -505,99 +424,6 @@ TEST(TablePrinter, NumberFormatting)
     EXPECT_EQ(TablePrinter::num(1.23456, 2), "1.23");
     EXPECT_EQ(TablePrinter::pct(0.073, 1), "+7.3%");
     EXPECT_EQ(TablePrinter::pct(-0.01, 1), "-1.0%");
-}
-
-// ---------------------------------------------------------------------------
-// QuantileEstimator rolling mode.
-// ---------------------------------------------------------------------------
-
-/**
- * Self-consistency: a rolling estimator over a stream answers exactly
- * what a fresh estimator fed only the last `capacity` samples would —
- * every query, at every point in the stream.
- */
-TEST(Quantile, RollingWindowMatchesFreshEstimatorOverTheTail)
-{
-    Rng rng(0xabcdef);
-    QuantileEstimator rolling(/*rolling_capacity=*/100);
-    EXPECT_EQ(rolling.rollingCapacity(), 100u);
-    std::vector<double> all;
-    for (int i = 0; i < 1000; ++i) {
-        const double v = rng.gaussian(50.0, 20.0);
-        all.push_back(v);
-        rolling.add(v);
-        if ((i + 1) % 137 != 0 && i != 999)
-            continue;
-        QuantileEstimator fresh;
-        const std::size_t n = std::min<std::size_t>(100, all.size());
-        for (std::size_t j = all.size() - n; j < all.size(); ++j)
-            fresh.add(all[j]);
-        ASSERT_EQ(rolling.count(), fresh.count()) << i;
-        for (const double p : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0})
-            EXPECT_DOUBLE_EQ(rolling.quantile(p), fresh.quantile(p))
-                << i << " q=" << p;
-        // Same live samples in the same arrival order: bitwise-equal
-        // running sums, not just close ones.
-        EXPECT_DOUBLE_EQ(rolling.sum(), fresh.sum()) << i;
-        EXPECT_DOUBLE_EQ(rolling.mean(), fresh.mean()) << i;
-    }
-}
-
-TEST(Quantile, SetRollingCapacityTrimsOldestImmediately)
-{
-    QuantileEstimator q;
-    q.addAll({1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
-    q.setRollingCapacity(3);
-    EXPECT_EQ(q.count(), 3u);
-    EXPECT_DOUBLE_EQ(q.min(), 4.0);
-    EXPECT_DOUBLE_EQ(q.p50(), 5.0);
-    // Growing the capacity does not resurrect evicted samples.
-    q.setRollingCapacity(10);
-    EXPECT_EQ(q.count(), 3u);
-    q.add(7.0);
-    EXPECT_EQ(q.count(), 4u);
-    EXPECT_DOUBLE_EQ(q.min(), 4.0);
-}
-
-TEST(Quantile, RollingCapacityZeroRestoresUnboundedRetention)
-{
-    QuantileEstimator q(2);
-    q.addAll({1.0, 2.0, 3.0});
-    EXPECT_EQ(q.count(), 2u);
-    q.setRollingCapacity(0);
-    for (double v = 4.0; v <= 20.0; v += 1.0)
-        q.add(v);
-    EXPECT_EQ(q.count(), 19u);
-    // Samples evicted while rolling stay gone.
-    EXPECT_DOUBLE_EQ(q.min(), 2.0);
-}
-
-TEST(Quantile, RollingClearEmptiesButKeepsTheCapacity)
-{
-    QuantileEstimator q(3);
-    q.addAll({1.0, 2.0, 3.0, 4.0});
-    q.clear();
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.rollingCapacity(), 3u);
-    q.addAll({5.0, 6.0, 7.0, 8.0});
-    EXPECT_EQ(q.count(), 3u);
-    EXPECT_DOUBLE_EQ(q.min(), 6.0);
-}
-
-TEST(Quantile, MergeAbsorbsOnlyTheLiveWindow)
-{
-    QuantileEstimator other(2);
-    other.addAll({1.0, 2.0, 3.0, 4.0, 5.0}); // live window: {4, 5}
-    QuantileEstimator a;
-    a.add(10.0);
-    a.merge(other);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.min(), 4.0);
-    EXPECT_DOUBLE_EQ(a.max(), 10.0);
-    // Merging INTO a rolling estimator evicts overflow like add().
-    QuantileEstimator windowed(2);
-    windowed.merge(a);
-    EXPECT_EQ(windowed.count(), 2u);
 }
 
 } // namespace
