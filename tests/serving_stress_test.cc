@@ -649,6 +649,44 @@ TEST_F(ServingStressTest, GoldenFingerprintsMatchParent)
             "queued shed");
     }
 
+    // Row-split tables: NSBP over 4 shards splits DRM3's dominant table
+    // 3 ways, so fan-out groups carry table pieces. Its pooling factor
+    // is 1, so each request touches one piece, rotated by request id;
+    // 60 requests land it on every piece's shard many times over.
+    {
+        const auto spec = model::makeDrm3();
+        const auto plan =
+            core::makeNsbp(spec, 4, dc::scLarge().usableModelBytes());
+        std::vector<int> piece_shards;
+        for (const auto &asg : plan.assignments())
+            if (asg.isSplit())
+                piece_shards.insert(piece_shards.end(), asg.shards.begin(),
+                                    asg.shards.end());
+        ASSERT_FALSE(piece_shards.empty()) << "plan has no split table";
+        const auto reqs =
+            workload::RequestGenerator(spec,
+                                       workload::GeneratorConfig{0xd3a3})
+                .generate(60);
+        core::ServingConfig cfg;
+        core::ServingSimulation probe(spec, plan, cfg);
+        const auto stats = probe.replayOpenLoop(reqs, 400.0);
+        for (int shard : piece_shards) {
+            const auto s = static_cast<std::size_t>(shard);
+            EXPECT_TRUE(std::any_of(stats.begin(), stats.end(),
+                                    [s](const core::RequestStats &st) {
+                                        return st.shard_op_ns[s] > 0.0;
+                                    }))
+                << "no lookups reached piece shard " << shard;
+        }
+        expectGolden(
+            spec, plan, cfg,
+            [&reqs](core::ServingSimulation &sim) {
+                return sim.replayOpenLoop(reqs, 400.0);
+            },
+            Golden{0xec9fbd680702538dULL, 0x3b4c019c1de6774aULL},
+            "row-split");
+    }
+
     // Faults mid-run with hedging, the result cache and mid-flight
     // shedding on: replicas die under load (one shard loses all three),
     // another slows down, a shard is cut off and healed, and dead
