@@ -62,11 +62,14 @@ struct ServingSimulation::Impl
 {
     // -- Static deployment description ------------------------------------
 
-    /** One RPC fan-out target: the tables of one net on one shard. */
+    /**
+     * One RPC fan-out target: the tables of one net on one shard. A
+     * whole table is its own only piece (ways == 1); a row-split table
+     * contributes piece `piece` of `ways`.
+     */
     struct Group
     {
         int shard = 0;
-        std::vector<int> whole_tables;
         struct Piece
         {
             int table;
@@ -74,12 +77,29 @@ struct ServingSimulation::Impl
             int ways;
         };
         std::vector<Piece> pieces;
-        int tableCount() const
-        {
-            return static_cast<int>(whole_tables.size() + pieces.size());
-        }
         double sum_dims = 0.0;  //!< Σ table dims (response sizing)
         double lookup_ns = 0.0; //!< pooled per-row gather cost
+    };
+
+    /** One sparse-shard replica server: its worker pool and fault state. */
+    struct Replica
+    {
+        int shard = 0;
+        std::unique_ptr<sim::Resource> cores;
+        /** Peak (in-flight + queued) depth, observed at dispatch. */
+        std::size_t peak_queue = 0;
+        bool dead = false;
+        /**
+         * Incarnation, bumped on every kill AND restore: work enqueued
+         * under an older generation is lost even if the replica is
+         * alive again by the time a core would be granted.
+         */
+        std::uint32_t gen = 0;
+        /** Persistent slowdown (degradeReplica; 1.0 = healthy). */
+        double degrade = 1.0;
+
+        /** Outstanding work: in-flight plus queued attempts. */
+        std::size_t depth() const { return cores->inUse() + cores->queued(); }
     };
 
     struct NetInfo
@@ -96,6 +116,7 @@ struct ServingSimulation::Impl
     struct Active; // forward
     struct RpcOp;  // forward
 
+    /** One batch of a request's current net, from slot grant to drain. */
     struct BatchState
     {
         Active *req = nullptr;
@@ -106,16 +127,18 @@ struct ServingSimulation::Impl
         sim::SimTime dispatch_time = 0;
         sim::SimTime last_response = 0;
         std::int64_t response_bytes = 0;
-        /** Top-dense duration, stashed at dispatch for the merge phase. */
+        /** Top-dense duration, stashed in the dense phase for the merge. */
         sim::Duration top_dense = 0;
         obs::SpanId sp_batch = obs::kNoSpan; //!< BatchExec span
         obs::SpanId sp_embed = obs::kNoSpan; //!< EmbeddedWait span
         /**
          * The batch's fan-out ops; each holds one reference so the
          * pointers stay valid for mid-flight shed cancellation until
-         * destroyBatch() releases them.
+         * drainBatch() releases them.
          */
         std::vector<RpcOp *> ops;
+        /** Fan-out groups with work this batch (not cache hits). */
+        std::vector<std::size_t> groups;
     };
 
     /**
@@ -135,7 +158,7 @@ struct ServingSimulation::Impl
          */
         int exclude = -1;
         /**
-         * replica_gen snapshot taken when the attempt entered the
+         * Replica::gen snapshot taken when the attempt entered the
          * server's queue; a mismatch at grant or completion means the
          * replica died (or rebooted) underneath it and the work is lost.
          */
@@ -183,6 +206,8 @@ struct ServingSimulation::Impl
         /** [0] = primary, [1] = hedge. */
         AttemptExec exec[2];
         obs::SpanId sp_op = obs::kNoSpan; //!< RpcOp span
+
+        const Group &group() const { return ni->groups[gi]; }
     };
 
     struct Active
@@ -234,10 +259,10 @@ struct ServingSimulation::Impl
     };
 
     Impl(const model::ModelSpec &spec, const ShardingPlan &plan,
-         const ServingConfig &cfg)
-        : spec(spec), plan(plan), cfg(cfg),
-          link(cfg.link), service(cfg.service), rng(cfg.seed),
-          hedge_tracker(cfg.hedge.window), result_cache(cfg.result_cache)
+         ServingConfig config)
+        : spec(spec), plan(plan), cfg(std::move(config)), link(cfg.link),
+          service(cfg.service), rng(cfg.seed),
+          result_cache(cfg.result_cache)
     {
         // Cache the tracer pointer once: the hot path pays exactly one
         // null check per emission site when tracing is off.
@@ -245,9 +270,10 @@ struct ServingSimulation::Impl
                                                               : nullptr;
         const auto n_shards =
             static_cast<std::size_t>(std::max(plan.numShards(), 0));
-        shard_trackers.reserve(n_shards);
-        for (std::size_t s = 0; s < n_shards; ++s)
-            shard_trackers.emplace_back(cfg.hedge.window);
+        trackers.assign(cfg.hedge.per_shard_deadline ? std::max<std::size_t>(
+                                                           n_shards, 1)
+                                                     : 1,
+                        rpc::LatencyTracker(cfg.hedge.window));
         shard_hedge_stats.assign(n_shards, rpc::HedgeStats{});
         const auto pool = [&](const dc::Platform &platform, int threads) {
             const int t = threads > 0 ? std::min(threads, platform.cores)
@@ -261,32 +287,26 @@ struct ServingSimulation::Impl
                                        : cfg.worker_threads;
         const int default_replicas = std::max(1, cfg.sparse_replicas);
         for (int s = 0; s < plan.numShards(); ++s) {
-            int replicas = default_replicas;
+            int count = default_replicas;
             const auto si = static_cast<std::size_t>(s);
             if (si < cfg.sparse_replicas_per_shard.size() &&
                 cfg.sparse_replicas_per_shard[si] > 0)
-                replicas = cfg.sparse_replicas_per_shard[si];
-            for (int r = 0; r < replicas; ++r) {
-                directory.registerReplica(
-                    s, static_cast<int>(sparse_cores.size()));
-                server_shard.push_back(s);
-                sparse_cores.push_back(std::make_unique<sim::Resource>(
+                count = cfg.sparse_replicas_per_shard[si];
+            for (int r = 0; r < count; ++r) {
+                directory.registerReplica(s, static_cast<int>(replicas.size()));
+                replicas.emplace_back();
+                replicas.back().shard = s;
+                replicas.back().cores = std::make_unique<sim::Resource>(
                     engine, pool(cfg.sparse_platform, sparse_threads),
-                    "sparse" + std::to_string(s) + "." + std::to_string(r)));
+                    "sparse" + std::to_string(s) + "." + std::to_string(r));
             }
         }
-        peak_queue.assign(sparse_cores.size(), 0);
-        replica_dead.assign(sparse_cores.size(), 0);
-        replica_gen.assign(sparse_cores.size(), 0);
-        replica_degrade.assign(sparse_cores.size(), 1.0);
         shard_partitioned.assign(n_shards, 0);
         directory.setPolicy(cfg.lb_policy, cfg.seed ^ 0x10adbau);
         // Load-aware replica selection reads live queue depth from the
         // worker pools (in-flight + queued), i.e. "outstanding requests".
-        directory.setLoadProbe([this](int server) {
-            const auto &r = *sparse_cores[static_cast<std::size_t>(server)];
-            return r.inUse() + r.queued();
-        });
+        directory.setLoadProbe(
+            [this](int server) { return replica(server).depth(); });
         results = &collected;
         buildNetInfos();
     }
@@ -299,8 +319,8 @@ struct ServingSimulation::Impl
 
     sim::Engine engine;
     std::unique_ptr<sim::Resource> main_cores;
-    /** One worker pool per sparse-shard *replica* (see directory). */
-    std::vector<std::unique_ptr<sim::Resource>> sparse_cores;
+    /** Sparse-shard replica servers, indexed by server id (see directory). */
+    std::vector<Replica> replicas;
     rpc::ServiceDirectory directory;
     netsim::LinkModel link;
     rpc::ServiceCostModel service;
@@ -311,21 +331,16 @@ struct ServingSimulation::Impl
     std::vector<RequestStats> *results = nullptr;
     /** Results of externally injected requests, drained by takeResults. */
     std::vector<RequestStats> collected;
-    /** Peak (in-flight + queued) per replica server, observed at dispatch. */
-    std::vector<std::size_t> peak_queue;
-    /** Logical shard of each replica server (parallel to sparse_cores). */
-    std::vector<int> server_shard;
 
     // -- Hedging state -------------------------------------------------------
 
-    /** Observed client-side RPC latencies; the hedge deadline's source. */
-    rpc::LatencyTracker hedge_tracker;
     /**
-     * Per-shard latency windows, used instead of the global tracker when
-     * HedgeConfig::per_shard_deadline is set — a heavy-pooling shard's
-     * honest latencies then stop inflating every other shard's deadline.
+     * Observed client-side RPC latencies, the hedge deadline's source:
+     * one window per shard when HedgeConfig::per_shard_deadline is set
+     * (a heavy-pooling shard's honest latencies then stop inflating
+     * every other shard's deadline), else a single global window.
      */
-    std::vector<rpc::LatencyTracker> shard_trackers;
+    std::vector<rpc::LatencyTracker> trackers;
     /** Hedge outcome counters; total_busy_ns is filled on read. */
     rpc::HedgeStats hedge_stats;
     /**
@@ -393,10 +408,13 @@ struct ServingSimulation::Impl
     releaseBatch(BatchState *bt)
     {
         auto ops = std::move(bt->ops);
+        auto groups = std::move(bt->groups);
         bt->~BatchState();
         new (bt) BatchState();
         ops.clear();
+        groups.clear();
         bt->ops = std::move(ops);
+        bt->groups = std::move(groups);
         batch_pool.release(bt);
     }
 
@@ -410,32 +428,47 @@ struct ServingSimulation::Impl
 
     // -- Injected-fault state (runtime control surface) ----------------------
     //
-    // All vectors are sized at construction and stay in their inert state
-    // (alive, generation 0, degrade 1.0, no partition) unless the control
+    // Replica fault state and the partition flags stay inert (alive,
+    // generation 0, degrade 1.0, no partition) unless the control
     // surface is exercised, so fault-free replays take only branch-not-
     // taken checks on these paths.
 
-    /** Dead replica servers (parallel to sparse_cores). */
-    std::vector<char> replica_dead;
-    /**
-     * Replica incarnation, bumped on every kill AND restore: work
-     * enqueued under an older generation is lost even if the replica is
-     * alive again by the time a core would be granted.
-     */
-    std::vector<std::uint32_t> replica_gen;
-    /** Persistent per-replica slowdown (degradeReplica; 1.0 = healthy). */
-    std::vector<double> replica_degrade;
     /** Shards currently partitioned from the main shard. */
     std::vector<char> shard_partitioned;
     FaultStats fault_stats;
 
+    Replica &
+    replica(int server)
+    {
+        return replicas[static_cast<std::size_t>(server)];
+    }
+
+    /** The replica @p server of a control-surface call, range-checked. */
+    Replica &
+    checkedReplica(int server, const char *what)
+    {
+        require(inRange(server, replicas.size()), what);
+        return replica(server);
+    }
+
+    /** Each replica's value of @p f, in server-id order. */
+    template <class F>
+    auto
+    perServer(F f) const
+    {
+        std::vector<decltype(f(replicas.front()))> out;
+        out.reserve(replicas.size());
+        for (const Replica &r : replicas)
+            out.push_back(f(r));
+        return out;
+    }
+
     rpc::LatencyTracker &
     trackerFor(int shard)
     {
-        if (cfg.hedge.per_shard_deadline && shard >= 0 &&
-            static_cast<std::size_t>(shard) < shard_trackers.size())
-            return shard_trackers[static_cast<std::size_t>(shard)];
-        return hedge_tracker;
+        return trackers[cfg.hedge.per_shard_deadline
+                            ? static_cast<std::size_t>(shard)
+                            : 0];
     }
 
     /**
@@ -443,10 +476,10 @@ struct ServingSimulation::Impl
      * took generation @p gen of it: that attempt's work is lost.
      */
     bool
-    replicaLost(int server, std::uint32_t gen) const
+    replicaLost(int server, std::uint32_t gen)
     {
-        const auto s = static_cast<std::size_t>(server);
-        return replica_dead[s] || gen != replica_gen[s];
+        const Replica &r = replica(server);
+        return r.dead || gen != r.gen;
     }
 
     bool
@@ -524,36 +557,24 @@ struct ServingSimulation::Impl
                 pool_sum > 0.0 ? cost_sum / pool_sum : cfg.lookup_base_ns;
 
             if (!plan.isSingular()) {
+                // Whole tables first, then pieces, each in table order:
+                // the order pool, cost and sum_dims accumulate in.
                 std::map<int, Group> groups;
-                for (const auto &t : spec.tables) {
-                    if (t.net_id != net_spec.id)
-                        continue;
-                    const auto &asg = plan.assignmentFor(t.id);
-                    if (!asg.isSplit()) {
-                        Group &g = groups[asg.shards[0]];
-                        g.shard = asg.shards[0];
-                        g.whole_tables.push_back(t.id);
-                    } else {
-                        for (std::size_t p = 0; p < asg.shards.size(); ++p) {
+                for (const bool split : {false, true})
+                    for (const auto &t : spec.tables) {
+                        const auto &asg = plan.assignmentFor(t.id);
+                        if (t.net_id != net_spec.id || asg.isSplit() != split)
+                            continue;
+                        const auto ways = static_cast<int>(asg.ways());
+                        for (int p = 0; p < ways; ++p) {
                             Group &g = groups[asg.shards[p]];
                             g.shard = asg.shards[p];
-                            g.pieces.push_back(Group::Piece{
-                                t.id, static_cast<int>(p),
-                                static_cast<int>(asg.ways())});
+                            g.pieces.push_back(Group::Piece{t.id, p, ways});
                         }
                     }
-                }
                 for (auto &kv : groups) {
                     Group &g = kv.second;
                     double pool = 0.0, cost = 0.0;
-                    for (int tid : g.whole_tables) {
-                        const auto &t =
-                            spec.tables[static_cast<std::size_t>(tid)];
-                        const double p = t.expectedLookups(spec.mean_items);
-                        pool += p;
-                        cost += p * tableLookupNs(t, g.shard);
-                        g.sum_dims += static_cast<double>(t.dim);
-                    }
                     for (const auto &piece : g.pieces) {
                         const auto &t =
                             spec.tables[static_cast<std::size_t>(piece.table)];
@@ -629,11 +650,8 @@ struct ServingSimulation::Impl
             return;
         }
         for (std::size_t gi = 0; gi < ni.groups.size(); ++gi) {
-            const Group &g = ni.groups[gi];
             std::int64_t total = 0;
-            for (int tid : g.whole_tables)
-                total += lk[static_cast<std::size_t>(tid)];
-            for (const auto &piece : g.pieces) {
+            for (const auto &piece : ni.groups[gi].pieces) {
                 const std::int64_t n =
                     lk[static_cast<std::size_t>(piece.table)];
                 const std::int64_t base = n / piece.ways;
@@ -665,6 +683,26 @@ struct ServingSimulation::Impl
         require(req.items >= 1, "request items must be >= 1");
         require(req.table_lookups.size() == spec.tables.size(),
                 "request table_lookups must have one entry per table");
+    }
+
+    /**
+     * One replay: check every request up front, let @p inject_all
+     * schedule their injections, run the engine to quiescence, and
+     * return the stats that landed meanwhile.
+     */
+    template <class F>
+    std::vector<RequestStats>
+    replay(const std::vector<workload::Request> &requests, F inject_all)
+    {
+        for (const auto &req : requests)
+            checkRequest(req);
+        std::vector<RequestStats> out;
+        out.reserve(requests.size());
+        results = &out;
+        inject_all();
+        engine.run();
+        results = &collected;
+        return out;
     }
 
     /**
@@ -707,45 +745,110 @@ struct ServingSimulation::Impl
             on_complete(st);
     }
 
-    /** Retire one batch's bookkeeping (ops refs, registry). */
+    /**
+     * Retire a batch — merged, with no fan-out to wait for, or drained
+     * after its request was shed: close its open spans (as cancelled
+     * debris once the request is shed), drop its op references, return
+     * the main core if it holds one, then free its slot and count it
+     * done.
+     */
     void
-    destroyBatch(BatchState *bt)
+    drainBatch(Active *a, BatchState *bt, bool holds_core)
     {
         if (tr) {
-            // Shed drains reach here with the wait/exec spans still
-            // open; close them as cancelled debris.
-            tr->end(bt->sp_embed, engine.now(), obs::kFlagCancelled);
-            tr->end(bt->sp_batch, engine.now(), obs::kFlagCancelled);
+            const std::uint8_t fl = a->shed_mid_flight ? obs::kFlagCancelled
+                                                       : obs::kFlagNone;
+            tr->end(bt->sp_embed, engine.now(), fl);
+            tr->end(bt->sp_batch, engine.now(), fl);
         }
         for (RpcOp *op : bt->ops)
             derefOp(op);
-        auto &lb = bt->req->live_batches;
+        auto &lb = a->live_batches;
         lb.erase(std::remove(lb.begin(), lb.end(), bt), lb.end());
         releaseBatch(bt);
-    }
-
-    /**
-     * Retire a batch that leaves without a merge — one of a request shed
-     * mid-flight, or one with no fan-out to wait for: close its open
-     * spans (as cancelled debris once the request is shed), return the
-     * main core if it holds one, then free its slot and count it done.
-     * @p bt is the batch's fan-out state; a batch that never dispatched
-     * passes null and its span as @p sp_batch.
-     */
-    void
-    drainBatch(Active *a, BatchState *bt, obs::SpanId sp_batch,
-               bool holds_core)
-    {
-        if (bt != nullptr)
-            destroyBatch(bt);
-        else if (tr)
-            tr->end(sp_batch, engine.now(),
-                    a->shed_mid_flight ? obs::kFlagCancelled
-                                       : obs::kFlagNone);
         if (holds_core)
             main_cores->release();
         releaseSlot(a);
         batchDone(a);
+    }
+
+    // -- Main-shard CPU phases ------------------------------------------------
+
+    /** The phases a request runs on a main-shard worker core. */
+    enum class Phase { Deserde, Dense, Merge, Respond };
+
+    /** A phase's duration and its continuation, which runs at its end. */
+    struct PhaseRun
+    {
+        sim::Duration ns;
+        sim::EventFn done;
+    };
+
+    /**
+     * If @p a was shed while its phase queued for or ran on a main
+     * core, give the core back and drain: the phase's batch @p bt
+     * retires, or a request-level phase recycles the Active, whose stats
+     * are already out. Returns whether it did.
+     */
+    bool
+    shedOnMainCore(Active *a, BatchState *bt)
+    {
+        if (!a->shed_mid_flight)
+            return false;
+        if (bt != nullptr) {
+            drainBatch(a, bt, true);
+        } else {
+            main_cores->release();
+            releaseActive(a);
+        }
+        return true;
+    }
+
+    /**
+     * Run one phase of @p a (of its batch @p bt, if any) on a main-shard
+     * worker core: queue for the core — at the head of the queue for
+     * the merge and response, which real services run at IO priority —
+     * then, once granted, drain if the request was shed meanwhile,
+     * record the wait, and let @p start charge the phase and record its
+     * spans. The continuation @p start returns holds the core and
+     * releases it itself: where that falls relative to the fan-out
+     * dispatch fixes the event order.
+     *
+     * Request deserde alone counts its wait in RequestStats::queue_wait
+     * and sheds a request whose admission deadline passed in the queue.
+     */
+    template <class Start>
+    void
+    onMainCore(Phase phase, Active *a, BatchState *bt, Start start)
+    {
+        const sim::SimTime q0 = engine.now();
+        auto grant = [this, phase, a, bt, q0, start] {
+            if (shedOnMainCore(a, bt))
+                return;
+            if (phase == Phase::Deserde) {
+                a->st.queue_wait += engine.now() - q0;
+                // Deadline-aware shedding: don't burn a worker core on
+                // a request whose deadline already passed in the queue.
+                if (cfg.admission.deadline_ns > 0 &&
+                    engine.now() - a->st.arrival > cfg.admission.deadline_ns) {
+                    main_cores->release();
+                    emit(a, ShedReason::DeadlineExceeded, obs::kFlagShed);
+                    return;
+                }
+            }
+            if (tr && engine.now() > q0)
+                tr->record(a->st.id, obs::SpanKind::QueueWait,
+                           bt ? bt->sp_batch : a->sp_root, q0, engine.now(),
+                           obs::kMainShard,
+                           bt ? nets[bt->net_idx].net_id : -1,
+                           bt ? bt->batch_id : -1);
+            PhaseRun run = start();
+            engine.schedule(run.ns, sim::kEvMainCompute, std::move(run.done));
+        };
+        if (phase == Phase::Merge || phase == Phase::Respond)
+            main_cores->acquireFront(std::move(grant));
+        else
+            main_cores->acquire(std::move(grant));
     }
 
     /**
@@ -779,7 +882,7 @@ struct ServingSimulation::Impl
         st.shard_op_ns[ex.sidx] -= f * static_cast<double>(ex.op_ns);
         st.shard_net_op_ns[ex.sidx * spec.nets.size() + ex.nidx] -=
             f * static_cast<double>(ex.op_ns);
-        sparse_cores[static_cast<std::size_t>(ex.server)]->release();
+        replica(ex.server).cores->release();
         return consumed;
     }
 
@@ -860,7 +963,7 @@ struct ServingSimulation::Impl
             BatchState *bt = batches[bi];
             bt->pending -= cancelled_now[bi];
             if (bt->pending == 0 && cancelled_now[bi] > 0)
-                drainBatch(a, bt, obs::kNoSpan, false);
+                drainBatch(a, bt, false);
         }
     }
 
@@ -889,9 +992,7 @@ struct ServingSimulation::Impl
     scheduleHealthUpdate(int server, bool healthy)
     {
         const auto apply = [this, server, healthy] {
-            const bool dead =
-                replica_dead[static_cast<std::size_t>(server)] != 0;
-            if (dead == !healthy)
+            if (replica(server).dead == !healthy)
                 directory.setServerHealth(server, healthy);
         };
         const sim::Duration lag = cfg.faults.discovery_lag_ns;
@@ -901,32 +1002,21 @@ struct ServingSimulation::Impl
             engine.schedule(lag, sim::kEvTimer, apply);
     }
 
+    /**
+     * Kill (@p dead) or revive a replica. Either transition bumps its
+     * generation: a kill dooms its queued and executing work, and work
+     * of the outage era stays lost after a revival.
+     */
     void
-    killReplica(int server)
+    setReplicaDead(int server, bool dead, const char *what)
     {
-        require(inRange(server, sparse_cores.size()),
-                "killReplica: server id out of range");
-        const auto s = static_cast<std::size_t>(server);
-        if (replica_dead[s])
+        Replica &r = checkedReplica(server, what);
+        if (r.dead == dead)
             return;
-        replica_dead[s] = 1;
-        ++replica_gen[s]; // dooms queued and executing work
-        ++fault_stats.kills;
-        scheduleHealthUpdate(server, false);
-    }
-
-    void
-    restoreReplica(int server)
-    {
-        require(inRange(server, sparse_cores.size()),
-                "restoreReplica: server id out of range");
-        const auto s = static_cast<std::size_t>(server);
-        if (!replica_dead[s])
-            return;
-        replica_dead[s] = 0;
-        ++replica_gen[s]; // outage-era work stays lost after revival
-        ++fault_stats.restores;
-        scheduleHealthUpdate(server, true);
+        r.dead = dead;
+        ++r.gen;
+        ++(dead ? fault_stats.kills : fault_stats.restores);
+        scheduleHealthUpdate(server, !dead);
     }
 
     /**
@@ -1043,24 +1133,7 @@ struct ServingSimulation::Impl
                             [this, id, a] { shedTimerFired(id, a); });
         }
 
-        const sim::SimTime q0 = engine.now();
-        main_cores->acquire([this, a, q0] {
-            // Shed by the mid-flight timer while queued: stats are out,
-            // nothing started, so the Active just evaporates.
-            if (a->shed_mid_flight) {
-                main_cores->release();
-                releaseActive(a);
-                return;
-            }
-            a->st.queue_wait += engine.now() - q0;
-            // Deadline-aware shedding: don't burn a worker core on a
-            // request whose deadline already passed while it queued.
-            if (cfg.admission.deadline_ns > 0 &&
-                engine.now() - a->st.arrival > cfg.admission.deadline_ns) {
-                main_cores->release();
-                emit(a, ShedReason::DeadlineExceeded, obs::kFlagShed);
-                return;
-            }
+        onMainCore(Phase::Deserde, a, nullptr, [this, a] {
             const sim::Duration handler =
                 scaled(service.handlerNs() / 2, mainScale());
             const std::int64_t req_bytes = netsim::rankingRequestBytes(
@@ -1072,22 +1145,15 @@ struct ServingSimulation::Impl
             a->st.cpu_service_ns += static_cast<double>(handler);
             a->st.lat_serde += deserde;
             a->st.cpu_serde_ns += static_cast<double>(deserde);
-            if (tr) {
-                if (engine.now() > q0)
-                    tr->record(a->st.id, obs::SpanKind::QueueWait,
-                               a->sp_root, q0, engine.now());
+            if (tr)
                 tr->record(a->st.id, obs::SpanKind::Deserialize, a->sp_root,
                            engine.now(), engine.now() + handler + deserde);
-            }
-            engine.schedule(handler + deserde, sim::kEvMainCompute, [this, a] {
-                main_cores->release();
-                if (a->shed_mid_flight) {
-                    // Shed during request deserde; nothing queued.
-                    releaseActive(a);
-                    return;
-                }
-                startNet(a);
-            });
+            return PhaseRun{handler + deserde, [this, a] {
+                                if (shedOnMainCore(a, nullptr))
+                                    return;
+                                main_cores->release();
+                                startNet(a);
+                            }};
         });
     }
 
@@ -1118,178 +1184,154 @@ struct ServingSimulation::Impl
     void
     startBatch(Active *a, int b)
     {
+        BatchState *bt = batch_pool.acquire();
+        bt->req = a;
+        bt->net_idx = a->net_idx;
+        bt->batch_id = b;
+        bt->batch_items = batchShare(a->req->items, a->nb, b);
         if (a->shed_mid_flight) {
             // Slot granted after the shed: the batch never starts.
-            drainBatch(a, nullptr, obs::kNoSpan, false);
+            drainBatch(a, bt, false);
             return;
         }
-        const NetInfo *nip0 = &nets[a->net_idx];
-        const sim::SimTime q0 = engine.now();
-        obs::SpanId sp_batch = obs::kNoSpan;
         if (tr)
-            sp_batch = tr->begin(a->st.id, obs::SpanKind::BatchExec,
-                                 a->sp_net, q0, obs::kMainShard,
-                                 nets[a->net_idx].net_id, b);
-        main_cores->acquire([this, a, nip0, b, q0, sp_batch] {
-            if (a->shed_mid_flight) {
-                drainBatch(a, nullptr, sp_batch, true);
-                return;
-            }
-            if (tr && engine.now() > q0)
-                tr->record(a->st.id, obs::SpanKind::QueueWait, sp_batch, q0,
-                           engine.now(), obs::kMainShard,
-                           nip0->net_id, b);
-            const NetInfo &ni = *nip0;
-            const std::int64_t bitems = batchShare(a->req->items, a->nb, b);
-            const double dense_total =
-                ni.dense_ns_per_item * static_cast<double>(bitems) +
-                ni.dense_fixed_ns;
-            const sim::Duration overhead = scaled(
-                service.netOverheadNs(
-                    static_cast<std::int64_t>(ni.groups.size())),
-                mainScale());
-            const sim::Duration bottom =
-                scaled(dense_total * cfg.bottom_fraction, mainScale());
-            const sim::Duration top =
-                scaled(dense_total * (1.0 - cfg.bottom_fraction),
-                       mainScale());
-            a->st.cpu_service_ns += static_cast<double>(overhead);
-            a->st.cpu_ops_ns += static_cast<double>(bottom + top);
-            a->st.main_op_ns += static_cast<double>(bottom + top);
+            bt->sp_batch = tr->begin(a->st.id, obs::SpanKind::BatchExec,
+                                     a->sp_net, engine.now(),
+                                     obs::kMainShard, nets[a->net_idx].net_id,
+                                     b);
+        onMainCore(Phase::Dense, a, bt,
+                   [this, a, bt] { return densePhase(a, bt); });
+    }
 
-            // Singular: SLS runs inline inside the batch. Distributed:
-            // serialize one request per group with work this batch, then
-            // release the core while the RPCs are outstanding. Groups with
-            // zero lookups are skipped entirely — DRM3's row-split
-            // dominant table touches one piece per request, so only ~2
-            // shards are accessed regardless of shard count.
-            sim::Duration sparse = 0;
-            if (ni.groups.empty()) {
-                const std::int64_t lk =
-                    batchShare(a->inline_lookups, a->nb, b);
-                sparse = scaled(static_cast<double>(lk) * ni.inline_lookup_ns,
-                                mainScale());
-                a->st.cpu_ops_ns += static_cast<double>(sparse);
-                a->st.main_op_ns += static_cast<double>(sparse);
-            }
-            std::vector<std::size_t> active;
-            sim::Duration send_cpu = 0;
-            for (std::size_t gi = 0; gi < ni.groups.size(); ++gi) {
-                const Group &g = ni.groups[gi];
-                const std::int64_t lk =
-                    batchShare(a->group_lookups[gi], a->nb, b);
-                if (lk == 0)
+    /**
+     * A batch's dense phase on its main core: bottom dense, then either
+     * inline SLS and top dense (singular, or no fan-out this batch), or
+     * the client-side serde of the batch's sparse RPCs.
+     */
+    PhaseRun
+    densePhase(Active *a, BatchState *bt)
+    {
+        const NetInfo &ni = nets[bt->net_idx];
+        const int b = bt->batch_id;
+        const std::int64_t bitems = bt->batch_items;
+        const double dense_total =
+            ni.dense_ns_per_item * static_cast<double>(bitems) +
+            ni.dense_fixed_ns;
+        const sim::Duration overhead = scaled(
+            service.netOverheadNs(static_cast<std::int64_t>(ni.groups.size())),
+            mainScale());
+        const sim::Duration bottom =
+            scaled(dense_total * cfg.bottom_fraction, mainScale());
+        const sim::Duration top =
+            scaled(dense_total * (1.0 - cfg.bottom_fraction), mainScale());
+        bt->top_dense = top;
+        a->st.cpu_service_ns += static_cast<double>(overhead);
+        a->st.cpu_ops_ns += static_cast<double>(bottom + top);
+        a->st.main_op_ns += static_cast<double>(bottom + top);
+
+        // Singular: SLS runs inline inside the batch. Distributed:
+        // serialize one request per group with work this batch, then
+        // release the core while the RPCs are outstanding. Groups with
+        // zero lookups are skipped entirely — DRM3's row-split
+        // dominant table touches one piece per request, so only ~2
+        // shards are accessed regardless of shard count.
+        sim::Duration sparse = 0;
+        if (ni.groups.empty()) {
+            const std::int64_t lk = batchShare(a->inline_lookups, a->nb, b);
+            sparse = scaled(static_cast<double>(lk) * ni.inline_lookup_ns,
+                            mainScale());
+            a->st.cpu_ops_ns += static_cast<double>(sparse);
+            a->st.main_op_ns += static_cast<double>(sparse);
+        }
+        sim::Duration send_cpu = 0;
+        for (std::size_t gi = 0; gi < ni.groups.size(); ++gi) {
+            const Group &g = ni.groups[gi];
+            const std::int64_t lk =
+                batchShare(a->group_lookups[gi], a->nb, b);
+            if (lk == 0)
+                continue;
+            // Pooled-result cache: a fresh memoized response for this
+            // (net, group, batch shape) short-circuits the whole RPC —
+            // no serde, no wire, no remote queue, no remote gather.
+            if (result_cache.enabled()) {
+                const rpc::ResultCache::Key key{
+                    ni.net_id, static_cast<int>(gi),
+                    rpc::resultSignature(bitems, lk, a->req->content_hash,
+                                         b)};
+                const bool hit = result_cache.lookup(key, engine.now());
+                if (tr)
+                    tr->record(a->st.id, obs::SpanKind::ResultCacheProbe,
+                               bt->sp_batch, engine.now(), engine.now(),
+                               g.shard, ni.net_id, b,
+                               hit ? obs::kFlagCacheHit : obs::kFlagNone);
+                if (hit) {
+                    ++a->st.result_cache_hits;
+                    a->st.result_cache_bytes_saved +=
+                        netsim::sparseResponseBytes(
+                            static_cast<std::int64_t>(g.sum_dims), bitems);
                     continue;
-                // Pooled-result cache: a fresh memoized response for this
-                // (net, group, batch shape) short-circuits the whole RPC —
-                // no serde, no wire, no remote queue, no remote gather.
-                if (result_cache.enabled()) {
-                    const rpc::ResultCache::Key key{
-                        ni.net_id, static_cast<int>(gi),
-                        rpc::resultSignature(bitems, lk,
-                                             a->req->content_hash, b)};
-                    if (result_cache.lookup(key, engine.now())) {
-                        ++a->st.result_cache_hits;
-                        a->st.result_cache_bytes_saved +=
-                            netsim::sparseResponseBytes(
-                                static_cast<std::int64_t>(g.sum_dims),
-                                bitems);
-                        if (tr)
-                            tr->record(a->st.id,
-                                       obs::SpanKind::ResultCacheProbe,
-                                       sp_batch, engine.now(), engine.now(),
-                                       g.shard, ni.net_id, b,
-                                       obs::kFlagCacheHit);
-                        continue;
-                    }
-                    ++a->st.result_cache_misses;
-                    if (tr)
-                        tr->record(a->st.id, obs::SpanKind::ResultCacheProbe,
-                                   sp_batch, engine.now(), engine.now(),
-                                   g.shard, ni.net_id, b);
                 }
-                active.push_back(gi);
-                const std::int64_t bytes = netsim::sparseRequestBytes(
-                    lk, g.tableCount(), bitems);
-                send_cpu +=
-                    scaled(service.serdeNs(bytes), mainScale()) + dispatchNs();
+                ++a->st.result_cache_misses;
             }
-            if (active.empty()) {
-                // Inline SLS, no sparse work anywhere this batch, or every
-                // group hit the result cache: a pure main-shard batch.
-                if (tr) {
-                    const sim::SimTime t0 = engine.now();
-                    tr->record(a->st.id, obs::SpanKind::DenseBottom,
-                               sp_batch, t0, t0 + overhead + bottom,
-                               obs::kMainShard, ni.net_id, b);
-                    if (ni.groups.empty())
-                        tr->record(a->st.id, obs::SpanKind::InlineSparse,
-                                   sp_batch, t0 + overhead + bottom,
-                                   t0 + overhead + bottom + sparse,
-                                   obs::kMainShard, ni.net_id, b);
-                    tr->record(a->st.id, obs::SpanKind::DenseTop, sp_batch,
-                               t0 + overhead + bottom + sparse,
-                               t0 + overhead + bottom + sparse + top,
-                               obs::kMainShard, ni.net_id, b);
-                }
-                engine.schedule(
-                    overhead + bottom + sparse + top, sim::kEvMainCompute,
-                    [this, a, sparse, sp_batch] {
-                        if (!a->shed_mid_flight) {
-                            a->net_embedded_max =
-                                std::max(a->net_embedded_max, sparse);
-                            a->max_inline_sparse =
-                                std::max(a->max_inline_sparse, sparse);
-                        }
-                        drainBatch(a, nullptr, sp_batch, true);
-                    });
-                return;
-            }
+            bt->groups.push_back(gi);
+            const std::int64_t bytes = netsim::sparseRequestBytes(
+                lk, static_cast<int>(g.pieces.size()), bitems);
+            send_cpu +=
+                scaled(service.serdeNs(bytes), mainScale()) + dispatchNs();
+        }
+        const sim::SimTime t0 = engine.now();
+        const sim::SimTime t_bottom = t0 + overhead + bottom;
+        if (tr)
+            tr->record(a->st.id, obs::SpanKind::DenseBottom, bt->sp_batch, t0,
+                       t_bottom, obs::kMainShard, ni.net_id, b);
+        if (bt->groups.empty()) {
+            // Inline SLS, no sparse work anywhere this batch, or every
+            // group hit the result cache: a pure main-shard batch.
             if (tr) {
-                const sim::SimTime t0 = engine.now();
-                tr->record(a->st.id, obs::SpanKind::DenseBottom, sp_batch,
-                           t0, t0 + overhead + bottom, obs::kMainShard,
-                           ni.net_id, b);
-                tr->record(a->st.id, obs::SpanKind::ClientSerde, sp_batch,
-                           t0 + overhead + bottom,
-                           t0 + overhead + bottom + send_cpu,
+                if (ni.groups.empty())
+                    tr->record(a->st.id, obs::SpanKind::InlineSparse,
+                               bt->sp_batch, t_bottom, t_bottom + sparse,
+                               obs::kMainShard, ni.net_id, b);
+                tr->record(a->st.id, obs::SpanKind::DenseTop, bt->sp_batch,
+                           t_bottom + sparse, t_bottom + sparse + top,
                            obs::kMainShard, ni.net_id, b);
             }
-            engine.schedule(
-                overhead + bottom + send_cpu, sim::kEvMainCompute,
-                [this, a, nip0, b, bitems, top, sp_batch,
-                 active = std::move(active)] {
-                    if (a->shed_mid_flight) {
-                        // Shed during the dense phase: the fan-out is
-                        // never dispatched.
-                        drainBatch(a, nullptr, sp_batch, true);
-                        return;
-                    }
-                    BatchState *bt = batch_pool.acquire();
-                    bt->req = a;
-                    bt->net_idx = a->net_idx;
-                    bt->batch_id = b;
-                    bt->batch_items = bitems;
-                    bt->pending = static_cast<int>(active.size());
-                    bt->dispatch_time = engine.now();
-                    bt->sp_batch = sp_batch;
-                    if (tr)
-                        bt->sp_embed = tr->begin(
-                            a->st.id, obs::SpanKind::EmbeddedWait, sp_batch,
-                            engine.now(), obs::kMainShard, nip0->net_id, b);
-                    a->live_batches.push_back(bt);
-                    for (std::size_t gi : active)
-                        sendRpc(bt, *nip0, gi);
-                    // The async RPC ops release the worker CORE (other
-                    // requests may use it) but the batch's net execution
-                    // blocks on the wait op, so the intra-request slot is
-                    // held until the batch completes (Fig. 3 semantics).
-                    main_cores->release();
-                    // Stash the top-dense time for the merge phase.
-                    bt->response_bytes = 0;
-                    bt->top_dense = top;
-                });
-        });
+            return PhaseRun{overhead + bottom + sparse + top,
+                            [this, a, bt, sparse] {
+                                if (shedOnMainCore(a, bt))
+                                    return;
+                                a->max_inline_sparse =
+                                    std::max(a->max_inline_sparse, sparse);
+                                a->net_embedded_max =
+                                    std::max(a->net_embedded_max, sparse);
+                                drainBatch(a, bt, true);
+                            }};
+        }
+        if (tr)
+            tr->record(a->st.id, obs::SpanKind::ClientSerde, bt->sp_batch,
+                       t_bottom, t_bottom + send_cpu, obs::kMainShard,
+                       ni.net_id, b);
+        return PhaseRun{
+            overhead + bottom + send_cpu,
+            [this, a, bt] {
+                if (shedOnMainCore(a, bt))
+                    return; // the fan-out is never dispatched
+                bt->pending = static_cast<int>(bt->groups.size());
+                bt->dispatch_time = engine.now();
+                if (tr)
+                    bt->sp_embed = tr->begin(
+                        a->st.id, obs::SpanKind::EmbeddedWait, bt->sp_batch,
+                        engine.now(), obs::kMainShard,
+                        nets[bt->net_idx].net_id, bt->batch_id);
+                a->live_batches.push_back(bt);
+                for (std::size_t gi : bt->groups)
+                    sendRpc(bt, gi);
+                // The async RPC ops release the worker CORE (other
+                // requests may use it) but the batch's net execution
+                // blocks on the wait op, so the intra-request slot is
+                // held until the batch completes (Fig. 3 semantics).
+                main_cores->release();
+            }};
     }
 
     void
@@ -1333,23 +1375,23 @@ struct ServingSimulation::Impl
         if (cfg.hedge.max_backup_outstanding == 0)
             return true;
         const auto backup = directory.resolveBackup(
-            op->ni->groups[op->gi].shard, op->primary_server);
+            op->group().shard, op->primary_server);
         if (!backup)
             return false;
-        const auto &r = *sparse_cores[static_cast<std::size_t>(*backup)];
-        return r.inUse() + r.queued() <= cfg.hedge.max_backup_outstanding;
+        return replica(*backup).depth() <= cfg.hedge.max_backup_outstanding;
     }
 
     void
-    sendRpc(BatchState *bt, const NetInfo &ni, std::size_t gi)
+    sendRpc(BatchState *bt, std::size_t gi)
     {
         Active *a = bt->req;
+        const NetInfo &ni = nets[bt->net_idx];
         const Group &g = ni.groups[gi];
         const std::int64_t lk =
             batchShare(a->group_lookups[gi], a->nb, bt->batch_id);
         const std::int64_t req_bytes =
-            netsim::sparseRequestBytes(lk, g.tableCount(), bt->batch_items);
-        // Client-side serde/dispatch CPU was spent in startBatch; account it.
+            netsim::sparseRequestBytes(lk, static_cast<int>(g.pieces.size()), bt->batch_items);
+        // Client-side serde/dispatch CPU was spent in densePhase; account it.
         a->st.cpu_serde_ns += service.serdeNs(req_bytes) * mainScale();
         a->st.cpu_service_ns += static_cast<double>(dispatchNs());
         ++a->st.rpc_count;
@@ -1392,10 +1434,9 @@ struct ServingSimulation::Impl
         const rpc::HedgeConfig &hc = cfg.hedge;
         if (!hc.enabled)
             return;
-        if (directory.replicaCount(op->ni->groups[op->gi].shard) < 2)
+        if (directory.replicaCount(op->group().shard) < 2)
             return;
-        const rpc::LatencyTracker &tracker =
-            trackerFor(op->ni->groups[op->gi].shard);
+        const rpc::LatencyTracker &tracker = trackerFor(op->group().shard);
         if (tracker.count() < std::max<std::size_t>(1, hc.min_samples))
             return;
         const sim::Duration deadline = tracker.quantile(hc.quantile);
@@ -1426,8 +1467,7 @@ struct ServingSimulation::Impl
         // under-hedging is visible in the stats.
         if (hedgeBudgetAllows() && backupHasHeadroom(op)) {
             ++hedge_stats.hedges;
-            ++shard_hedge_stats[static_cast<std::size_t>(
-                                    op->ni->groups[op->gi].shard)]
+            ++shard_hedge_stats[static_cast<std::size_t>(op->group().shard)]
                   .hedges;
             Active *a = op->bt->req;
             ++a->st.hedges;
@@ -1446,7 +1486,7 @@ struct ServingSimulation::Impl
     launchAttempt(RpcOp *op, bool is_hedge)
     {
         Active *a = op->bt->req;
-        const Group &g = op->ni->groups[op->gi];
+        const Group &g = op->group();
 
         // Common random numbers: every stochastic component of an attempt
         // (wire jitter out/back, interference) draws from a stream that is
@@ -1519,7 +1559,7 @@ struct ServingSimulation::Impl
             retireAttempt(op, idx, ctx, loseFlags(op));
             return;
         }
-        const Group &g = op->ni->groups[op->gi];
+        const Group &g = op->group();
         const bool is_hedge = idx == 1;
         // A failover retry excludes the server that just failed; hedge
         // backups exclude the primary as always.
@@ -1544,11 +1584,11 @@ struct ServingSimulation::Impl
         const int server = *resolved;
         if (!is_hedge)
             op->primary_server = server;
-        const auto srv_idx = static_cast<std::size_t>(server);
+        Replica &rep = replica(server);
         // Dead target (the pre-discovery window, or a backup forced onto
         // a corpse): nothing accepts the connection; the client times
         // out. Hedging and failover retries are what mask this gap.
-        if (replica_dead[srv_idx]) {
+        if (rep.dead) {
             ++fault_stats.dead_target_attempts;
             op->exec[idx].server = server; // the retry must avoid it
             attempt_pool.release(ctx);
@@ -1556,12 +1596,10 @@ struct ServingSimulation::Impl
                             [this, op, idx] { attemptFailed(op, idx); });
             return;
         }
-        op->exec[idx].server_gen = replica_gen[srv_idx];
-        const std::size_t depth = sparse_cores[srv_idx]->inUse() +
-                                  sparse_cores[srv_idx]->queued() + 1;
-        peak_queue[srv_idx] = std::max(peak_queue[srv_idx], depth);
+        op->exec[idx].server_gen = rep.gen;
+        rep.peak_queue = std::max(rep.peak_queue, rep.depth() + 1);
         const sim::SimTime q0 = engine.now();
-        sparse_cores[srv_idx]->acquire([this, op, ctx, idx, q0, server] {
+        rep.cores->acquire([this, op, ctx, idx, q0, server] {
             AttemptExec &ex = op->exec[idx];
             // Cancelled while queued: the winner returned before this
             // attempt reached a core, so it costs nothing but its slot.
@@ -1572,7 +1610,7 @@ struct ServingSimulation::Impl
                                ctx->rec.shard_id, ctx->rec.net_id,
                                ctx->rec.batch_id, loseFlags(op));
                 retireAttempt(op, idx, ctx, loseFlags(op));
-                sparse_cores[static_cast<std::size_t>(server)]->release();
+                replica(server).cores->release();
                 return;
             }
             // The replica died (or rebooted) while this attempt sat in
@@ -1580,14 +1618,14 @@ struct ServingSimulation::Impl
             // via its timeout, which has already elapsed by core-grant
             // time.
             if (replicaLost(server, ex.server_gen)) {
-                sparse_cores[static_cast<std::size_t>(server)]->release();
+                replica(server).cores->release();
                 ++fault_stats.lost_in_service;
                 attempt_pool.release(ctx);
                 attemptFailed(op, idx);
                 return;
             }
             Active *a2 = op->bt->req;
-            const Group &g2 = op->ni->groups[op->gi];
+            const Group &g2 = op->group();
             // Transient interference: this attempt (not the logical RPC)
             // drew a slow event, so a hedged re-roll on another replica
             // escapes it. A persistent degradeReplica() slowdown stacks
@@ -1599,8 +1637,7 @@ struct ServingSimulation::Impl
                     ? cfg.faults.straggler_multiplier
                     : 1.0;
             const double remote_scale =
-                sparseScale() * interference *
-                replica_degrade[static_cast<std::size_t>(server)];
+                sparseScale() * interference * replica(server).degrade;
             RpcRecord &rec = ctx->rec;
             rec.remote_queue_ns = engine.now() - q0;
             rec.remote_service_ns =
@@ -1680,7 +1717,7 @@ struct ServingSimulation::Impl
                     // genuinely burned (charges stand) but the response
                     // is lost with the replica.
                     self.cancelled = true;
-                    sparse_cores[static_cast<std::size_t>(server)]->release();
+                    replica(server).cores->release();
                     ++fault_stats.lost_in_service;
                     if (tr)
                         tr->end(self.sp_exec, engine.now(),
@@ -1698,7 +1735,7 @@ struct ServingSimulation::Impl
                     attemptFailed(op, idx);
                     return;
                 }
-                sparse_cores[static_cast<std::size_t>(server)]->release();
+                replica(server).cores->release();
                 assert(!op->won); // an executing attempt is never a loser
                 if (tr)
                     tr->end(self.sp_exec, engine.now());
@@ -1708,7 +1745,7 @@ struct ServingSimulation::Impl
                 if (idx == 1) {
                     ++hedge_stats.wins;
                     ++shard_hedge_stats[static_cast<std::size_t>(
-                                            op->ni->groups[op->gi].shard)]
+                                            op->group().shard)]
                           .wins;
                     ++op->bt->req->st.hedge_wins;
                 }
@@ -1787,7 +1824,7 @@ struct ServingSimulation::Impl
             // The client gave up on this request; the late response is
             // discarded at arrival (no deserde, no top dense).
             if (--bt->pending == 0)
-                drainBatch(a, bt, obs::kNoSpan, false);
+                drainBatch(a, bt, false);
             return;
         }
         rec.completed = engine.now();
@@ -1802,49 +1839,30 @@ struct ServingSimulation::Impl
             return;
 
         // All shards answered: deserialize responses + top dense.
-        const sim::Duration embedded = bt->last_response - bt->dispatch_time;
         if (tr)
             tr->end(bt->sp_embed, bt->last_response);
-        const sim::SimTime merge0 = engine.now();
-        main_cores->acquireFront([this, a, bt, embedded, merge0] {
-            if (a->shed_mid_flight) {
-                drainBatch(a, bt, obs::kNoSpan, true);
-                return;
-            }
+        onMainCore(Phase::Merge, a, bt, [this, a, bt] {
             const sim::Duration resp_deserde =
                 scaled(service.serdeNs(bt->response_bytes), mainScale());
-            const sim::Duration top = bt->top_dense;
             a->st.cpu_serde_ns += static_cast<double>(resp_deserde);
             if (tr) {
+                const sim::SimTime t = engine.now();
                 const int net_id = nets[bt->net_idx].net_id;
-                if (engine.now() > merge0)
-                    tr->record(a->st.id, obs::SpanKind::QueueWait,
-                               bt->sp_batch, merge0, engine.now(),
-                               obs::kMainShard, net_id, bt->batch_id);
                 tr->record(a->st.id, obs::SpanKind::ResponseDeserde,
-                           bt->sp_batch, engine.now(),
-                           engine.now() + resp_deserde, obs::kMainShard,
+                           bt->sp_batch, t, t + resp_deserde, obs::kMainShard,
                            net_id, bt->batch_id);
                 tr->record(a->st.id, obs::SpanKind::DenseTop, bt->sp_batch,
-                           engine.now() + resp_deserde,
-                           engine.now() + resp_deserde + top,
+                           t + resp_deserde, t + resp_deserde + bt->top_dense,
                            obs::kMainShard, net_id, bt->batch_id);
             }
-            engine.schedule(resp_deserde + top, sim::kEvMainCompute,
-                            [this, a, bt, embedded] {
-                if (a->shed_mid_flight) {
-                    drainBatch(a, bt, obs::kNoSpan, true);
-                    return;
-                }
-                main_cores->release();
-                releaseSlot(a);
-                if (tr)
-                    tr->end(bt->sp_batch, engine.now());
-                a->net_embedded_max =
-                    std::max(a->net_embedded_max, embedded);
-                destroyBatch(bt);
-                batchDone(a);
-            });
+            return PhaseRun{resp_deserde + bt->top_dense, [this, a, bt] {
+                                if (shedOnMainCore(a, bt))
+                                    return;
+                                a->net_embedded_max = std::max(
+                                    a->net_embedded_max,
+                                    bt->last_response - bt->dispatch_time);
+                                drainBatch(a, bt, true);
+                            }};
         });
     }
 
@@ -1874,8 +1892,7 @@ struct ServingSimulation::Impl
         // Past the point of useful shedding: the sparse work is done and
         // only the response serde remains, so the shed timer stands down.
         a->finishing = true;
-        const sim::SimTime q0 = engine.now();
-        main_cores->acquireFront([this, a, q0] {
+        onMainCore(Phase::Respond, a, nullptr, [this, a] {
             const std::int64_t resp_bytes =
                 netsim::rankingResponseBytes(a->req->items);
             const sim::Duration resp_serde =
@@ -1886,19 +1903,14 @@ struct ServingSimulation::Impl
             a->st.cpu_serde_ns += static_cast<double>(resp_serde);
             a->st.lat_service += handler;
             a->st.cpu_service_ns += static_cast<double>(handler);
-            if (tr) {
-                if (engine.now() > q0)
-                    tr->record(a->st.id, obs::SpanKind::QueueWait,
-                               a->sp_root, q0, engine.now());
+            if (tr)
                 tr->record(a->st.id, obs::SpanKind::ResponseSerialize,
                            a->sp_root, engine.now(),
                            engine.now() + resp_serde + handler);
-            }
-            engine.schedule(resp_serde + handler, sim::kEvMainCompute,
-                            [this, a] {
-                main_cores->release();
-                finalize(a);
-            });
+            return PhaseRun{resp_serde + handler, [this, a] {
+                                main_cores->release();
+                                finalize(a);
+                            }};
         });
     }
 
@@ -1933,9 +1945,9 @@ struct ServingSimulation::Impl
 ServingSimulation::ServingSimulation(const model::ModelSpec &spec,
                                      const ShardingPlan &plan,
                                      ServingConfig config)
-    : spec_(spec), plan_(plan), config_(config)
+    : spec_(spec), plan_(plan)
 {
-    impl_ = std::make_unique<Impl>(spec_, plan_, config_);
+    impl_ = std::make_unique<Impl>(spec_, plan_, std::move(config));
 }
 
 ServingSimulation::~ServingSimulation() = default;
@@ -1952,25 +1964,16 @@ ServingSimulation::fanoutGroupCount() const
 std::vector<RequestStats>
 ServingSimulation::replaySerial(const std::vector<workload::Request> &requests)
 {
-    for (const auto &req : requests)
-        impl_->checkRequest(req);
-    std::vector<RequestStats> results;
-    results.reserve(requests.size());
-    impl_->results = &results;
-
     // Chain injections: each request enters when the previous completes.
     std::function<void(std::size_t)> launch = [&](std::size_t i) {
         if (i >= requests.size())
             return;
         impl_->inject(requests[i], [this, &launch, i](const RequestStats &) {
-            impl_->engine.schedule(config_.serial_gap_ns, sim::kEvDriver,
+            impl_->engine.schedule(impl_->cfg.serial_gap_ns, sim::kEvDriver,
                                    [&launch, i] { launch(i + 1); });
         });
     };
-    launch(0);
-    impl_->engine.run();
-    impl_->results = &impl_->collected;
-    return results;
+    return impl_->replay(requests, [&launch] { launch(0); });
 }
 
 std::vector<RequestStats>
@@ -1978,24 +1981,17 @@ ServingSimulation::replayOpenLoop(
     const std::vector<workload::Request> &requests, double qps)
 {
     require(qps > 0.0, "replayOpenLoop: qps must be > 0");
-    for (const auto &req : requests)
-        impl_->checkRequest(req);
-    std::vector<RequestStats> results;
-    results.reserve(requests.size());
-    impl_->results = &results;
-
-    stats::Rng arrivals = impl_->rng.fork(0xa881);
-    sim::SimTime t = impl_->engine.now();
-    for (const auto &req : requests) {
-        t += static_cast<sim::Duration>(
-            arrivals.exponential(qps) * static_cast<double>(sim::kSecond));
-        impl_->engine.scheduleAt(t, sim::kEvDriver, [this, &req] {
-            impl_->inject(req, nullptr);
-        });
-    }
-    impl_->engine.run();
-    impl_->results = &impl_->collected;
-    return results;
+    return impl_->replay(requests, [this, &requests, qps] {
+        stats::Rng arrivals = impl_->rng.fork(0xa881);
+        sim::SimTime t = impl_->engine.now();
+        for (const auto &req : requests) {
+            t += static_cast<sim::Duration>(arrivals.exponential(qps) *
+                                            static_cast<double>(sim::kSecond));
+            impl_->engine.scheduleAt(t, sim::kEvDriver, [this, &req] {
+                impl_->inject(req, nullptr);
+            });
+        }
+    });
 }
 
 sim::Engine &
@@ -2025,19 +2021,17 @@ ServingSimulation::takeResults()
 std::size_t
 ServingSimulation::serverCount() const
 {
-    return impl_->sparse_cores.size();
+    return impl_->replicas.size();
 }
 
 std::vector<double>
 ServingSimulation::serverUtilization() const
 {
     const auto elapsed = static_cast<double>(impl_->engine.now());
-    std::vector<double> out;
-    out.reserve(impl_->sparse_cores.size());
-    for (const auto &r : impl_->sparse_cores)
-        out.push_back(stats::utilizationFraction(r->busyIntegral(),
-                                                 r->capacity(), elapsed));
-    return out;
+    return impl_->perServer([elapsed](const Impl::Replica &r) {
+        return stats::utilizationFraction(r.cores->busyIntegral(),
+                                          r.cores->capacity(), elapsed);
+    });
 }
 
 double
@@ -2063,39 +2057,37 @@ ServingSimulation::mainIdleWorkers() const
 std::vector<std::size_t>
 ServingSimulation::serverPeakQueue() const
 {
-    return impl_->peak_queue;
+    return impl_->perServer(
+        [](const Impl::Replica &r) { return r.peak_queue; });
 }
 
 std::vector<int>
 ServingSimulation::serverShards() const
 {
-    return impl_->server_shard;
+    return impl_->perServer([](const Impl::Replica &r) { return r.shard; });
 }
 
 std::size_t
 ServingSimulation::sparseWorkerPoolSize() const
 {
-    return impl_->sparse_cores.empty()
+    return impl_->replicas.empty()
                ? 0
-               : impl_->sparse_cores.front()->capacity();
+               : impl_->replicas.front().cores->capacity();
 }
 
 std::vector<double>
 ServingSimulation::serverBusyCoreNs() const
 {
-    std::vector<double> out;
-    out.reserve(impl_->sparse_cores.size());
-    for (const auto &r : impl_->sparse_cores)
-        out.push_back(r->busyIntegral());
-    return out;
+    return impl_->perServer(
+        [](const Impl::Replica &r) { return r.cores->busyIntegral(); });
 }
 
 rpc::HedgeStats
 ServingSimulation::hedgeStats() const
 {
     rpc::HedgeStats h = impl_->hedge_stats;
-    for (const auto &r : impl_->sparse_cores)
-        h.total_busy_ns += r->busyIntegral();
+    for (const auto &r : impl_->replicas)
+        h.total_busy_ns += r.cores->busyIntegral();
     return h;
 }
 
@@ -2120,23 +2112,24 @@ ServingSimulation::invalidateResultCache()
 void
 ServingSimulation::killReplica(int server_id)
 {
-    impl_->killReplica(server_id);
+    impl_->setReplicaDead(server_id, true,
+                          "killReplica: server id out of range");
 }
 
 void
 ServingSimulation::restoreReplica(int server_id)
 {
-    impl_->restoreReplica(server_id);
+    impl_->setReplicaDead(server_id, false,
+                          "restoreReplica: server id out of range");
 }
 
 void
 ServingSimulation::degradeReplica(int server_id, double multiplier)
 {
-    require(inRange(server_id, impl_->replica_degrade.size()),
-            "degradeReplica: server id out of range");
+    auto &r = impl_->checkedReplica(server_id,
+                                    "degradeReplica: server id out of range");
     require(multiplier > 0.0, "degradeReplica: multiplier must be > 0");
-    impl_->replica_degrade[static_cast<std::size_t>(server_id)] =
-        multiplier;
+    r.degrade = multiplier;
 }
 
 void
@@ -2151,18 +2144,17 @@ ServingSimulation::partitionShard(int shard_id, bool partitioned)
 bool
 ServingSimulation::replicaAlive(int server_id) const
 {
-    require(inRange(server_id, impl_->replica_dead.size()),
-            "replicaAlive: server id out of range");
-    return impl_->replica_dead[static_cast<std::size_t>(server_id)] == 0;
+    return !impl_->checkedReplica(server_id,
+                                  "replicaAlive: server id out of range")
+                .dead;
 }
 
 std::size_t
 ServingSimulation::aliveReplicaCount() const
 {
-    std::size_t n = 0;
-    for (char d : impl_->replica_dead)
-        n += d == 0 ? 1 : 0;
-    return n;
+    return static_cast<std::size_t>(
+        std::count_if(impl_->replicas.begin(), impl_->replicas.end(),
+                      [](const Impl::Replica &r) { return !r.dead; }));
 }
 
 const FaultStats &

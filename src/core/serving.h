@@ -512,7 +512,6 @@ class ServingSimulation
 
     const model::ModelSpec &spec_;
     ShardingPlan plan_;
-    ServingConfig config_;
 };
 
 } // namespace dri::core

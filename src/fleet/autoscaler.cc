@@ -352,84 +352,57 @@ PredictiveAutoscaler::decide(int epoch,
 }
 
 // ---------------------------------------------------------------------------
-// Factory registry.
+// Policy factory.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/**
- * Meyers-singleton registry seeded with the built-in policies (the repo
- * is single-threaded throughout, so no locking). std::map keeps
- * registeredAutoscalers() sorted for free.
- */
-std::map<std::string, AutoscalerFactory> &
-registry()
+const std::vector<std::string> kAutoscalers = {"burn-rate", "predictive",
+                                               "reactive", "static-peak"};
+
+std::shared_ptr<CapacityPlanner>
+requirePlanner(const AutoscalerInputs &in, const std::string &name)
 {
-    static std::map<std::string, AutoscalerFactory> reg = [] {
-        std::map<std::string, AutoscalerFactory> r;
-        r["static-peak"] = [](const AutoscalerInputs &in)
-            -> std::unique_ptr<Autoscaler> {
-            assert(in.planner && "static-peak needs a capacity planner");
-            return std::make_unique<StaticPeakAutoscaler>(in.planner);
-        };
-        r["reactive"] = [](const AutoscalerInputs &in)
-            -> std::unique_ptr<Autoscaler> {
-            return std::make_unique<ReactiveAutoscaler>(in.initial_vector,
-                                                        in.reactive);
-        };
-        r["predictive"] = [](const AutoscalerInputs &in)
-            -> std::unique_ptr<Autoscaler> {
-            assert(in.planner && "predictive needs a capacity planner");
-            return std::make_unique<PredictiveAutoscaler>(in.planner);
-        };
-        r["burn-rate"] = [](const AutoscalerInputs &in)
-            -> std::unique_ptr<Autoscaler> {
-            // Trigger parameters from burn_rate, actuation from the
-            // shared reactive block: the studies compare triggers, not
-            // actuation tunings.
-            BurnRateConfig cfg = in.burn_rate;
-            cfg.base = in.reactive;
-            return std::make_unique<BurnRateAutoscaler>(in.initial_vector,
-                                                        cfg);
-        };
-        return r;
-    }();
-    return reg;
+    if (!in.planner)
+        throw std::invalid_argument("autoscaler \"" + name +
+                                    "\" needs a capacity planner");
+    return in.planner;
 }
 
 } // namespace
 
-bool
-registerAutoscaler(const std::string &name, AutoscalerFactory factory)
-{
-    assert(factory && "null autoscaler factory");
-    const bool replaced = registry().count(name) > 0;
-    registry()[name] = std::move(factory);
-    return replaced;
-}
-
 std::unique_ptr<Autoscaler>
 makeAutoscaler(const std::string &name, const AutoscalerInputs &inputs)
 {
-    const auto it = registry().find(name);
-    if (it == registry().end()) {
-        std::string known;
-        for (const auto &[n, f] : registry())
-            known += (known.empty() ? "" : ", ") + n;
-        throw std::invalid_argument("unknown autoscaler \"" + name +
-                                    "\" (registered: " + known + ")");
+    if (name == "static-peak")
+        return std::make_unique<StaticPeakAutoscaler>(
+            requirePlanner(inputs, name));
+    if (name == "predictive")
+        return std::make_unique<PredictiveAutoscaler>(
+            requirePlanner(inputs, name));
+    if (name == "reactive")
+        return std::make_unique<ReactiveAutoscaler>(inputs.initial_vector,
+                                                    inputs.reactive);
+    if (name == "burn-rate") {
+        // Trigger parameters from burn_rate, actuation from the shared
+        // reactive block: the studies compare triggers, not actuation
+        // tunings.
+        BurnRateConfig cfg = inputs.burn_rate;
+        cfg.base = inputs.reactive;
+        return std::make_unique<BurnRateAutoscaler>(inputs.initial_vector,
+                                                    cfg);
     }
-    return it->second(inputs);
+    std::string known;
+    for (const auto &n : kAutoscalers)
+        known += (known.empty() ? "" : ", ") + n;
+    throw std::invalid_argument("unknown autoscaler \"" + name +
+                                "\" (registered: " + known + ")");
 }
 
 std::vector<std::string>
 registeredAutoscalers()
 {
-    std::vector<std::string> names;
-    names.reserve(registry().size());
-    for (const auto &[n, f] : registry())
-        names.push_back(n);
-    return names;
+    return kAutoscalers;
 }
 
 } // namespace dri::fleet

@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -320,12 +319,12 @@ class PredictiveAutoscaler : public Autoscaler
 };
 
 // ---------------------------------------------------------------------------
-// Policy factory registry.
+// Policy factory.
 // ---------------------------------------------------------------------------
 
 /**
- * Everything a registered policy factory may draw on. One inputs bundle
- * constructs ANY registered policy, so study drivers build it once and
+ * Everything a policy may be built from. One inputs bundle constructs
+ * ANY built-in policy, so study drivers build it once and
  * select policies by name (a CLI flag, a config string, a sweep list)
  * instead of hand-wiring each concrete constructor.
  */
@@ -346,26 +345,16 @@ struct AutoscalerInputs
     BurnRateConfig burn_rate;
 };
 
-/** Factory signature: inputs bundle in, constructed policy out. */
-using AutoscalerFactory =
-    std::function<std::unique_ptr<Autoscaler>(const AutoscalerInputs &)>;
-
 /**
- * Register (or replace) a named factory. The built-ins "static-peak",
- * "reactive", "predictive", and "burn-rate" are pre-registered; tests
- * register scripted policies under their own names. Returns true when
- * an existing registration was replaced.
- */
-bool registerAutoscaler(const std::string &name, AutoscalerFactory factory);
-
-/**
- * Construct a registered policy by name. Throws std::invalid_argument
- * naming the known policies when `name` is not registered.
+ * Construct a built-in policy by name: "static-peak", "reactive",
+ * "predictive" or "burn-rate". Throws std::invalid_argument naming the
+ * known policies when `name` is none of them, and when "static-peak" or
+ * "predictive" gets no planner.
  */
 std::unique_ptr<Autoscaler> makeAutoscaler(const std::string &name,
                                            const AutoscalerInputs &inputs);
 
-/** All registered policy names, sorted. */
+/** All policy names makeAutoscaler() accepts, sorted. */
 std::vector<std::string> registeredAutoscalers();
 
 } // namespace dri::fleet

@@ -1,8 +1,9 @@
 #include "fleet/fleet_sim.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -30,15 +31,6 @@ meanOf(const std::vector<double> &v)
 // ---------------------------------------------------------------------------
 // TelemetryLedger.
 // ---------------------------------------------------------------------------
-
-int
-TelemetryLedger::alertCount(obs::AlertTransition t) const
-{
-    int n = 0;
-    for (const auto &a : alerts)
-        n += a.transition == t ? 1 : 0;
-    return n;
-}
 
 std::uint64_t
 TelemetryLedger::fingerprint() const
@@ -242,19 +234,27 @@ FleetSim::FleetSim(const model::ModelSpec &spec,
     : spec_(spec), plan_(plan), base_(std::move(base_serving)),
       load_(load), cfg_(config)
 {
-    assert(plan_.numShards() > 0 && "fleet simulation needs sparse shards");
-    assert(cfg_.epochs > 0 && cfg_.requests_per_epoch > 0);
-    assert(cfg_.penalty.provisioning_lag_fraction >= 0.0 &&
-           cfg_.penalty.provisioning_lag_fraction < 1.0);
-    assert(cfg_.penalty.cold_cache_fraction >= 0.0 &&
-           cfg_.penalty.cold_cache_fraction < 1.0);
-    assert(cfg_.crash_at_fraction >= 0.0 && cfg_.crash_at_fraction < 1.0);
-    for ([[maybe_unused]] const auto &ev : cfg_.faults.events())
+    const auto require = [](bool ok, const char *what) {
+        if (!ok)
+            throw std::invalid_argument(std::string("FleetSim: ") + what);
+    };
+    require(plan_.numShards() > 0, "needs sparse shards");
+    require(cfg_.epochs > 0 && cfg_.requests_per_epoch > 0,
+            "epochs and requests_per_epoch must be > 0");
+    require(cfg_.penalty.provisioning_lag_fraction >= 0.0 &&
+                cfg_.penalty.provisioning_lag_fraction < 1.0,
+            "provisioning_lag_fraction must be in [0, 1)");
+    require(cfg_.penalty.cold_cache_fraction >= 0.0 &&
+                cfg_.penalty.cold_cache_fraction < 1.0,
+            "cold_cache_fraction must be in [0, 1)");
+    require(cfg_.crash_at_fraction >= 0.0 && cfg_.crash_at_fraction < 1.0,
+            "crash_at_fraction must be in [0, 1)");
+    for (const auto &ev : cfg_.faults.events())
         if (ev.kind == FaultKind::ReplicaCrash ||
             ev.kind == FaultKind::SlowReplica ||
             ev.kind == FaultKind::Partition)
-            assert(ev.shard >= 0 && ev.shard < plan_.numShards() &&
-                   "fault event targets a shard outside the plan");
+            require(ev.shard >= 0 && ev.shard < plan_.numShards(),
+                    "fault event targets a shard outside the plan");
 }
 
 FleetSim::SegmentResult

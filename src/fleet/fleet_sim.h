@@ -288,8 +288,6 @@ struct TelemetryLedger
      */
     std::vector<EpochTraceSummary> traces;
 
-    int alertCount(obs::AlertTransition t) const;
-
     /**
      * Same contract as FleetStats::fingerprint(), over the telemetry
      * ledger: equal fingerprints mean byte-identical alert streams,
@@ -333,6 +331,12 @@ struct FleetStats
 class FleetSim
 {
   public:
+    /**
+     * Throws std::invalid_argument, in every build, unless the plan has
+     * sparse shards, epochs and requests_per_epoch are > 0, the penalty
+     * and crash fractions lie in [0, 1), and every crash, slow-replica
+     * and partition event targets a shard of the plan.
+     */
     FleetSim(const model::ModelSpec &spec, const core::ShardingPlan &plan,
              core::ServingConfig base_serving,
              const workload::DiurnalLoadModel &load, FleetConfig config);

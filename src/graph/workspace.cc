@@ -105,14 +105,4 @@ Workspace::remove(const std::string &name)
     blobs_.erase(name);
 }
 
-std::vector<std::string>
-Workspace::blobNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(blobs_.size());
-    for (const auto &kv : blobs_)
-        names.push_back(kv.first);
-    return names;
-}
-
 } // namespace dri::graph

@@ -76,9 +76,6 @@ class Workspace
     void setBlob(const std::string &name, Blob value);
 
     void remove(const std::string &name);
-    std::size_t blobCount() const { return blobs_.size(); }
-
-    std::vector<std::string> blobNames() const;
 
   private:
     std::map<std::string, Blob> blobs_;

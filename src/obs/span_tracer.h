@@ -53,7 +53,6 @@ class SpanTracer
     explicit SpanTracer(bool enabled = true) : enabled_(enabled) {}
 
     bool enabled() const { return enabled_; }
-    void setEnabled(bool enabled) { enabled_ = enabled; }
 
     /**
      * Attach a retention sampler (sampling mode). Must happen before

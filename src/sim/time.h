@@ -34,12 +34,6 @@ toMillis(Duration d)
 }
 
 constexpr Duration
-fromMicros(double us)
-{
-    return static_cast<Duration>(us * static_cast<double>(kMicrosecond));
-}
-
-constexpr Duration
 fromMillis(double ms)
 {
     return static_cast<Duration>(ms * static_cast<double>(kMillisecond));

@@ -46,7 +46,6 @@ class VirtualEmbeddingTable
                           std::uint64_t seed,
                           std::int64_t physical_rows = 2048);
 
-    std::int64_t logicalRows() const { return logical_rows_; }
     std::int64_t dim() const { return dim_; }
     std::int64_t physicalRows() const { return physical_rows_; }
     std::uint64_t seed() const { return seed_; }

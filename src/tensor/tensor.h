@@ -65,8 +65,6 @@ class Tensor
 
     bool sameShape(const Tensor &other) const { return shape_ == other.shape_; }
 
-    std::string shapeString() const;
-
   private:
     std::vector<std::int64_t> shape_;
     std::vector<float> data_;

@@ -209,6 +209,46 @@ TEST(CapacityPlanner, VectorsMonotoneInRateAndCached)
 // FleetSim.
 // ---------------------------------------------------------------------------
 
+TEST(FleetSim, RejectsBadConfigInEveryBuild)
+{
+    const auto spec = model::makeDrm2();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    const workload::DiurnalLoadModel load(spec, flatLoad(300.0));
+    const auto build = [&](const core::ShardingPlan &p,
+                           const fleet::FleetConfig &fc) {
+        fleet::FleetSim sim(spec, p, fleetTestServing(), load, fc);
+    };
+    EXPECT_NO_THROW(build(plan, smallFleet(2)));
+    EXPECT_THROW(build(core::makeSingular(spec), smallFleet(2)),
+                 std::invalid_argument);
+    EXPECT_THROW(build(plan, smallFleet(0)), std::invalid_argument);
+    // Zero requests per epoch would divide by zero into NaN
+    // machine-hours.
+    auto fc = smallFleet(2);
+    fc.requests_per_epoch = 0;
+    EXPECT_THROW(build(plan, fc), std::invalid_argument);
+    fc = smallFleet(2);
+    fc.penalty.provisioning_lag_fraction = 1.0;
+    EXPECT_THROW(build(plan, fc), std::invalid_argument);
+    fc = smallFleet(2);
+    fc.penalty.cold_cache_fraction = -0.1;
+    EXPECT_THROW(build(plan, fc), std::invalid_argument);
+    fc = smallFleet(2);
+    fc.crash_at_fraction = 1.0;
+    EXPECT_THROW(build(plan, fc), std::invalid_argument);
+    // Fault events aimed outside the plan's 4 shards would index past
+    // the replica vector.
+    fc = smallFleet(2);
+    fc.faults.crashReplica(4, 0, 0, 1);
+    EXPECT_THROW(build(plan, fc), std::invalid_argument);
+    fc = smallFleet(2);
+    fc.faults.slowReplica(-1, 0, 2.0, 0, 1);
+    EXPECT_THROW(build(plan, fc), std::invalid_argument);
+    fc = smallFleet(2);
+    fc.faults.partition(7, 0, 1);
+    EXPECT_THROW(build(plan, fc), std::invalid_argument);
+}
+
 TEST(FleetSim, LedgerIsByteIdenticalAcrossReruns)
 {
     const auto spec = model::makeDrm2();
@@ -592,12 +632,13 @@ TEST(FleetFaults, EmptyScheduleIsPureAndCrashRunsAreDeterministic)
 }
 
 // ---------------------------------------------------------------------------
-// Autoscaler factory registry.
+// Autoscaler factory.
 // ---------------------------------------------------------------------------
 
 TEST(AutoscalerFactory, BuiltinsConstructByName)
 {
     const auto names = fleet::registeredAutoscalers();
+    EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
     for (const char *expected :
          {"burn-rate", "predictive", "reactive", "static-peak"})
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
@@ -628,18 +669,13 @@ TEST(AutoscalerFactory, UnknownNameThrowsWithKnownList)
     }
 }
 
-TEST(AutoscalerFactory, RegistrationExtendsAndReplaces)
+TEST(AutoscalerFactory, PlannerPoliciesRejectAMissingPlanner)
 {
-    fleet::AutoscalerInputs inputs;
-    const auto factory = [](const fleet::AutoscalerInputs &) {
-        return std::make_unique<ScriptedAutoscaler>(
-            std::vector<std::vector<int>>{{2, 2, 2, 2}});
-    };
-    EXPECT_FALSE(fleet::registerAutoscaler("scripted-test", factory));
-    const auto policy = fleet::makeAutoscaler("scripted-test", inputs);
-    EXPECT_EQ(policy->name(), "scripted");
-    // Re-registering the same name reports a replacement.
-    EXPECT_TRUE(fleet::registerAutoscaler("scripted-test", factory));
+    const fleet::AutoscalerInputs inputs; // no planner
+    EXPECT_THROW(fleet::makeAutoscaler("static-peak", inputs),
+                 std::invalid_argument);
+    EXPECT_THROW(fleet::makeAutoscaler("predictive", inputs),
+                 std::invalid_argument);
 }
 
 TEST(AutoscalerFactory, BurnRateSharesReactiveActuation)
