@@ -293,7 +293,8 @@ struct ServingSimulation::Impl
                 cfg.sparse_replicas_per_shard[si] > 0)
                 count = cfg.sparse_replicas_per_shard[si];
             for (int r = 0; r < count; ++r) {
-                directory.registerReplica(s, static_cast<int>(replicas.size()));
+                directory.registerReplica(s,
+                                          static_cast<int>(replicas.size()));
                 replicas.emplace_back();
                 replicas.back().shard = s;
                 replicas.back().cores = std::make_unique<sim::Resource>(
@@ -772,7 +773,7 @@ struct ServingSimulation::Impl
         batchDone(a);
     }
 
-    // -- Main-shard CPU phases ------------------------------------------------
+    // -- Main-shard CPU phases -----------------------------------------------
 
     /** The phases a request runs on a main-shard worker core. */
     enum class Phase { Deserde, Dense, Merge, Respond };
@@ -1390,7 +1391,8 @@ struct ServingSimulation::Impl
         const std::int64_t lk =
             batchShare(a->group_lookups[gi], a->nb, bt->batch_id);
         const std::int64_t req_bytes =
-            netsim::sparseRequestBytes(lk, static_cast<int>(g.pieces.size()), bt->batch_items);
+            netsim::sparseRequestBytes(lk, static_cast<int>(g.pieces.size()),
+                                       bt->batch_items);
         // Client-side serde/dispatch CPU was spent in densePhase; account it.
         a->st.cpu_serde_ns += service.serdeNs(req_bytes) * mainScale();
         a->st.cpu_service_ns += static_cast<double>(dispatchNs());
