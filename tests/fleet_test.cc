@@ -20,6 +20,7 @@
 #include "fleet/study.h"
 #include "model/generators.h"
 #include "sched/capacity_search.h"
+#include "stats/hash.h"
 #include "workload/diurnal.h"
 
 namespace {
@@ -559,6 +560,110 @@ TEST(FleetSim, BurnRateReplaysByteIdentically)
         EXPECT_EQ(p.monitor().events()[i].transition,
                   q.monitor().events()[i].transition);
     }
+}
+
+/**
+ * Golden oracle for the fleet driver: the exact ledger, telemetry,
+ * trace-retention summaries, scenario exemplars and metrics export of
+ * every built-in policy over a bursty day that carries every fault
+ * kind. The trace summaries, exemplars and metrics are outside both
+ * fingerprint() contracts, so only this test pins them. A change to
+ * segment replay, scaling actuation or power accounting that moves one
+ * bit moves these constants.
+ */
+TEST(FleetSim, GoldenLedgersMatchParent)
+{
+    const auto spec = model::makeDrm2();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    auto dl = flatLoad(300.0);
+    dl.amplitude = 0.4;
+    dl.bursts_per_epoch = 1.2;
+    dl.burst_multiplier = 2.0;
+    dl.burst_fraction = 0.3;
+    const workload::DiurnalLoadModel load(spec, dl);
+
+    auto fc = smallFleet(8);
+    fc.trace_sampling.enabled = true;
+    fc.faults.crashReplica(0, 1, 2, 4)
+        .slowReplica(1, 3, 3.0, 1, 3)
+        .partition(2, 5, 6)
+        .snapshotStorm(4, 0.5)
+        .flashCrowd(1.8, 0.2, 6, 7);
+
+    fleet::PlannerConfig pc;
+    pc.slo.p99_ms = 60.0;
+    pc.planning_requests = 128;
+    pc.provision_iterations = 3;
+    fleet::AutoscalerInputs inputs;
+    inputs.planner = std::make_shared<fleet::CapacityPlanner>(
+        spec, plan, fleetTestServing(), pc);
+    inputs.initial_vector = {2, 2, 2, 2};
+    inputs.reactive.slo.p99_ms = 60.0;
+
+    // Per policy, in registeredAutoscalers() order: ledger, telemetry,
+    // trace summaries plus scenario exemplars, metrics JSONL.
+    const std::uint64_t expected[4][4] = {
+        {0x1a0f4f8ea5a4066bULL, 0xa0716adbdcacdd52ULL, 0xdc845bb7a046050fULL,
+         0xdb6d43d8f8800c62ULL},
+        {0xdbda882edac5635dULL, 0xef37d51f5467aee0ULL, 0x588a09b7f9f7a710ULL,
+         0xcbe8109eaea96bfdULL},
+        {0x21be71c0bec06252ULL, 0x8ba4a59c4dc3074aULL, 0x6ef236d84e564e8eULL,
+         0x19126a6ec9ced65dULL},
+        {0x182bcd61db737149ULL, 0x22391be3dcee8f47ULL, 0x25e22b1182f600d5ULL,
+         0xe0bb815e05a22090ULL},
+    };
+    const auto names = fleet::registeredAutoscalers();
+    ASSERT_EQ(names.size(), 4u);
+    bool scaled_up = false;
+    for (std::size_t p = 0; p < names.size(); ++p) {
+        obs::MetricsRegistry metrics;
+        auto cfg = fc;
+        cfg.metrics = &metrics;
+        fleet::FleetSim sim(spec, plan, fleetTestServing(), load, cfg);
+        const auto policy = fleet::makeAutoscaler(names[p], inputs);
+        const auto s = sim.run(*policy);
+        for (const auto &r : s.epochs)
+            scaled_up |= r.scaled_up;
+        ASSERT_EQ(s.telemetry.traces.size(), s.epochs.size());
+        ASSERT_EQ(s.telemetry.scenarios.size(), fc.faults.events().size());
+
+        stats::Fnv1a traces;
+        for (const auto &t : s.telemetry.traces) {
+            traces.add(t.epoch);
+            traces.add(t.roots_closed);
+            traces.add(t.retained);
+            traces.add(t.retained_bytes);
+            traces.add(t.kept_flagged);
+            traces.add(t.kept_tail);
+            traces.add(t.kept_reservoir);
+            traces.add(t.recycled);
+            traces.add(t.dropped_stale);
+            for (const auto &ex : t.exemplars) {
+                traces.add(ex.request_id);
+                traces.add(static_cast<int>(ex.keep_class));
+                traces.add(static_cast<std::int64_t>(ex.e2e));
+            }
+        }
+        for (const auto &sc : s.telemetry.scenarios) {
+            traces.add(sc.exemplar_epoch);
+            for (const std::uint64_t id : sc.exemplar_requests)
+                traces.add(id);
+        }
+        std::ostringstream jsonl;
+        metrics.writeJsonl(jsonl);
+        stats::Fnv1a exported;
+        exported.bytes(jsonl.str().data(), jsonl.str().size());
+
+        const std::uint64_t got[4] = {s.fingerprint(),
+                                      s.telemetryFingerprint(), traces.h,
+                                      exported.h};
+        for (int k = 0; k < 4; ++k)
+            EXPECT_EQ(got[k], expected[p][k])
+                << names[p] << " case " << k << ": got 0x" << std::hex
+                << got[k];
+    }
+    // The lag and cold segments only run on a scale-up epoch.
+    EXPECT_TRUE(scaled_up);
 }
 
 /** The smoke-sized canonical study stays deterministic end to end. */
