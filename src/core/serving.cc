@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <new>
+#include <optional>
 #include <stdexcept>
 
 #include "cache/lookup_model.h"
@@ -738,12 +739,15 @@ struct ServingSimulation::Impl
                 a->st.id, kept);
         }
         results->push_back(a->st);
-        const RequestStats st = a->st;
         auto on_complete = std::move(a->on_complete);
+        // Releasing `a` recycles its stats, so a callback gets a copy.
+        std::optional<RequestStats> st;
+        if (on_complete)
+            st = a->st;
         if (!a->shed_mid_flight)
             releaseActive(a);
-        if (on_complete)
-            on_complete(st);
+        if (st)
+            on_complete(*st);
     }
 
     /**

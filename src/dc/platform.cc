@@ -8,6 +8,12 @@ Platform::usableModelBytes() const
     return static_cast<std::int64_t>(0.8 * static_cast<double>(dram_bytes));
 }
 
+double
+Platform::watts(double utilization) const
+{
+    return idle_watts + (busy_watts - idle_watts) * utilization;
+}
+
 graph::CostParams
 Platform::costParams() const
 {

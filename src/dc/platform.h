@@ -34,6 +34,9 @@ struct Platform
      */
     std::int64_t usableModelBytes() const;
 
+    /** Chassis power at `utilization` in [0, 1]: linear idle to busy. */
+    double watts(double utilization) const;
+
     /** Micro-level operator cost coefficients for this platform. */
     graph::CostParams costParams() const;
 };

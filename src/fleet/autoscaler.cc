@@ -1,13 +1,70 @@
 #include "fleet/autoscaler.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
 #include "sched/provision_loop.h"
 
 namespace dri::fleet {
+
+namespace {
+
+void
+require(bool ok, const char *what)
+{
+    if (!ok)
+        throw std::invalid_argument(what);
+}
+
+/**
+ * Watermark scale-up: a fleet-wide signal grows every shard by the
+ * overshoot step (queueing anywhere inflates the request-level tail);
+ * without one, only the shards over the high watermark creep by one
+ * step. Returns whether any shard grew.
+ */
+bool
+scaleUp(std::vector<int> &vec, const ReactiveConfig &c, bool fleet_wide,
+        const EpochObservation &last)
+{
+    const int step = fleet_wide ? c.pressure_step : c.step;
+    bool changed = false;
+    for (std::size_t s = 0; s < vec.size(); ++s) {
+        const bool hot = fleet_wide ||
+                         (s < last.shard_utilization.size() &&
+                          last.shard_utilization[s] > c.high_utilization);
+        if (hot && vec[s] < c.max_replicas) {
+            vec[s] = std::min(c.max_replicas, vec[s] + step);
+            changed = true;
+        }
+    }
+    return changed;
+}
+
+/**
+ * Watermark scale-down: when the fleet-wide signal allows it and every
+ * shard sits under the low watermark, shrink each idle shard by one
+ * step. Returns whether any shard shrank.
+ */
+bool
+scaleDown(std::vector<int> &vec, const ReactiveConfig &c, bool fleet_wide,
+          const EpochObservation &last)
+{
+    if (!(fleet_wide && last.max_shard_utilization < c.low_utilization))
+        return false;
+    bool changed = false;
+    for (std::size_t s = 0; s < vec.size(); ++s) {
+        const bool idle = s >= last.shard_utilization.size() ||
+                          last.shard_utilization[s] < c.low_utilization;
+        if (idle && vec[s] > c.min_replicas) {
+            vec[s] = std::max(c.min_replicas, vec[s] - c.step);
+            changed = true;
+        }
+    }
+    return changed;
+}
+
+} // namespace
 
 // ---------------------------------------------------------------------------
 // CapacityPlanner: ProvisionLoop sized at the rate, CapacitySearch probe
@@ -23,9 +80,11 @@ CapacityPlanner::CapacityPlanner(const model::ModelSpec &spec,
     : spec_(spec), plan_(plan), serving_(std::move(serving)),
       config_(config), planning_requests_(std::move(planning_stream))
 {
-    assert(plan_.numShards() > 0 && "fleet planning needs sparse shards");
-    assert(config_.headroom >= 1.0);
-    assert(config_.qps_quantum > 1.0);
+    require(plan_.numShards() > 0, "CapacityPlanner: needs sparse shards");
+    require(config_.headroom >= 1.0,
+            "CapacityPlanner: headroom must be >= 1");
+    require(config_.qps_quantum > 1.0,
+            "CapacityPlanner: qps_quantum must be > 1");
     // One deterministic planning stream shared by every plan: paired
     // probes across rates, and across policies holding the same planner.
     if (planning_requests_.empty()) {
@@ -41,7 +100,7 @@ CapacityPlanner::CapacityPlanner(const model::ModelSpec &spec,
 double
 CapacityPlanner::quantize(double qps) const
 {
-    assert(qps > 0.0);
+    require(qps > 0.0, "CapacityPlanner: qps must be > 0");
     // Smallest integer power of the quantum at or above qps: small
     // forecast wiggles map to the same grid point (plan reuse), and
     // rounding *up* never under-provisions relative to the raw target.
@@ -144,9 +203,9 @@ ReactiveAutoscaler::ReactiveAutoscaler(std::vector<int> initial,
                                        ReactiveConfig config)
     : vector_(std::move(initial)), config_(config)
 {
-    assert(!vector_.empty());
-    assert(config_.low_utilization < config_.high_utilization &&
-           "hysteresis band must be non-empty");
+    require(!vector_.empty(), "ReactiveAutoscaler: empty initial vector");
+    require(config_.low_utilization < config_.high_utilization,
+            "ReactiveAutoscaler: hysteresis band must be non-empty");
     for (auto &r : vector_)
         r = std::clamp(r, config_.min_replicas, config_.max_replicas);
 }
@@ -166,52 +225,18 @@ ReactiveAutoscaler::decide(int epoch, const workload::DiurnalLoadModel &,
     const bool util_pressure =
         last->max_shard_utilization > config_.high_utilization;
 
+    // Latency pressure is the fleet-wide scale-up signal.
     if (latency_pressure || util_pressure) {
-        // Scale up: latency pressure is a fleet-wide signal (every shard
-        // grows, by the overshoot step — queueing anywhere inflates the
-        // request-level tail); pure utilization pressure creeps only the
-        // hot shards.
-        const int step =
-            latency_pressure ? config_.pressure_step : config_.step;
-        bool changed = false;
-        for (std::size_t s = 0; s < vector_.size(); ++s) {
-            const bool hot =
-                latency_pressure ||
-                (s < last->shard_utilization.size() &&
-                 last->shard_utilization[s] > config_.high_utilization);
-            if (hot && vector_[s] < config_.max_replicas) {
-                vector_[s] =
-                    std::min(config_.max_replicas, vector_[s] + step);
-                changed = true;
-            }
-        }
-        if (changed)
+        if (scaleUp(vector_, config_, latency_pressure, *last))
             last_change_epoch_ = epoch;
         return vector_;
     }
 
     // Scale down only inside the hysteresis band's lower half, with
     // latency slack, and only after the cooldown since the last change.
-    if (epoch - last_change_epoch_ <= config_.cooldown_epochs)
-        return vector_;
-    const bool cold =
-        last->max_shard_utilization < config_.low_utilization &&
-        last->p99_ms < p99_guard;
-    if (cold) {
-        bool changed = false;
-        for (std::size_t s = 0; s < vector_.size(); ++s) {
-            const bool idle =
-                s >= last->shard_utilization.size() ||
-                last->shard_utilization[s] < config_.low_utilization;
-            if (idle && vector_[s] > config_.min_replicas) {
-                vector_[s] = std::max(config_.min_replicas,
-                                      vector_[s] - config_.step);
-                changed = true;
-            }
-        }
-        if (changed)
-            last_change_epoch_ = epoch;
-    }
+    if (epoch - last_change_epoch_ > config_.cooldown_epochs &&
+        scaleDown(vector_, config_, last->p99_ms < p99_guard, *last))
+        last_change_epoch_ = epoch;
     return vector_;
 }
 
@@ -223,7 +248,7 @@ BurnRateAutoscaler::BurnRateAutoscaler(std::vector<int> initial,
                                        BurnRateConfig config)
     : vector_(std::move(initial)), config_(config)
 {
-    assert(!vector_.empty());
+    require(!vector_.empty(), "BurnRateAutoscaler: empty initial vector");
     for (auto &r : vector_)
         r = std::clamp(r, config_.base.min_replicas,
                        config_.base.max_replicas);
@@ -277,27 +302,11 @@ BurnRateAutoscaler::decide(int epoch, const workload::DiurnalLoadModel &,
     const bool util_pressure =
         last->max_shard_utilization > config_.base.high_utilization;
 
+    // A firing burn-rate alert is the fleet-wide scale-up signal (the
+    // budget is provably burning everywhere the tail reaches).
     if (alert_firing || util_pressure) {
         healthy_streak_ = 0;
-        // A firing burn-rate alert is the fleet-wide signal (the budget
-        // is provably burning everywhere the tail reaches); bare
-        // utilization pressure creeps only the hot shards, as Reactive.
-        const int step = alert_firing ? config_.base.pressure_step
-                                      : config_.base.step;
-        bool changed = false;
-        for (std::size_t s = 0; s < vector_.size(); ++s) {
-            const bool hot =
-                alert_firing ||
-                (s < last->shard_utilization.size() &&
-                 last->shard_utilization[s] >
-                     config_.base.high_utilization);
-            if (hot && vector_[s] < config_.base.max_replicas) {
-                vector_[s] = std::min(config_.base.max_replicas,
-                                      vector_[s] + step);
-                changed = true;
-            }
-        }
-        if (changed)
+        if (scaleUp(vector_, config_.base, alert_firing, *last))
             last_change_epoch_ = epoch;
         return vector_;
     }
@@ -311,25 +320,10 @@ BurnRateAutoscaler::decide(int epoch, const workload::DiurnalLoadModel &,
             config_.health_burn_fraction * config_.slow_burn_threshold;
     healthy_streak_ = healthy ? healthy_streak_ + 1 : 0;
 
-    if (healthy_streak_ < config_.healthy_epochs ||
-        epoch - last_change_epoch_ <= config_.base.cooldown_epochs)
-        return vector_;
-    if (last->max_shard_utilization < config_.base.low_utilization) {
-        bool changed = false;
-        for (std::size_t s = 0; s < vector_.size(); ++s) {
-            const bool idle =
-                s >= last->shard_utilization.size() ||
-                last->shard_utilization[s] <
-                    config_.base.low_utilization;
-            if (idle && vector_[s] > config_.base.min_replicas) {
-                vector_[s] = std::max(config_.base.min_replicas,
-                                      vector_[s] - config_.base.step);
-                changed = true;
-            }
-        }
-        if (changed)
-            last_change_epoch_ = epoch;
-    }
+    if (epoch - last_change_epoch_ > config_.base.cooldown_epochs &&
+        scaleDown(vector_, config_.base,
+                  healthy_streak_ >= config_.healthy_epochs, *last))
+        last_change_epoch_ = epoch;
     return vector_;
 }
 

@@ -4,7 +4,7 @@
  *
  * An Autoscaler is consulted once per load epoch, *before* the epoch
  * runs, and returns the sparse-shard replica vector the fleet should
- * serve that epoch with. Three policies span the operational design
+ * serve that epoch with. Four policies span the operational design
  * space:
  *
  *  - StaticPeak: provision once for the diurnal peak forecast and never
@@ -23,6 +23,9 @@
  *    vector from measured per-shard demand) and sched::CapacitySearch
  *    (verify the vector actually sustains the target under the SLO,
  *    bumping replicas until it does).
+ *  - BurnRate: Reactive's scale-up and scale-down actuation, triggered
+ *    by a firing multi-window SLO burn-rate alert instead of the P99
+ *    watermark, and scaling down only after sustained budget health.
  *
  * Every policy produces vectors the FleetSim applies through the same
  * reconfiguration machinery (provisioning lag, cold caches, result-cache
@@ -134,16 +137,21 @@ class CapacityPlanner
      * Pass the load model's own traffic (e.g. epochRequests(0, n)) so
      * plans price what the fleet actually serves — a planner fed
      * repeat-free traffic over-provisions a result-cache-heavy fleet.
+     * Throws std::invalid_argument, in every build, unless the plan has
+     * sparse shards, headroom >= 1 and qps_quantum > 1.
      */
     CapacityPlanner(const model::ModelSpec &spec,
                     const core::ShardingPlan &plan,
                     core::ServingConfig serving, PlannerConfig config,
                     std::vector<workload::Request> planning_stream = {});
 
-    /** Plan (or fetch the cached plan) for one target rate. */
+    /** Plan (or fetch the cached plan) for one target rate > 0. */
     std::vector<int> replicaVectorFor(double qps);
 
-    /** Rate quantization: the grid point at or above `qps`. */
+    /**
+     * Rate quantization: the grid point at or above `qps`. Throws
+     * std::invalid_argument unless qps > 0.
+     */
     double quantize(double qps) const;
 
     const PlannerConfig &config() const { return config_; }
@@ -218,7 +226,11 @@ struct ReactiveConfig
 class ReactiveAutoscaler : public Autoscaler
 {
   public:
-    /** `initial` seeds epoch 0 (typically the StaticPeak vector). */
+    /**
+     * `initial` seeds epoch 0 (typically the StaticPeak vector). Throws
+     * std::invalid_argument if it is empty or if low_utilization is not
+     * below high_utilization.
+     */
     ReactiveAutoscaler(std::vector<int> initial, ReactiveConfig config);
 
     std::string name() const override { return "reactive"; }
@@ -281,7 +293,10 @@ struct BurnRateConfig
 class BurnRateAutoscaler : public Autoscaler
 {
   public:
-    /** `initial` seeds epoch 0 (typically the StaticPeak vector). */
+    /**
+     * `initial` seeds epoch 0 (typically the StaticPeak vector). Throws
+     * std::invalid_argument if it is empty.
+     */
     BurnRateAutoscaler(std::vector<int> initial, BurnRateConfig config);
 
     std::string name() const override { return "burn-rate"; }

@@ -26,6 +26,14 @@ meanOf(const std::vector<double> &v)
     return sum / static_cast<double>(v.size());
 }
 
+std::vector<workload::Request>
+slice(const std::vector<workload::Request> &v, std::size_t lo,
+      std::size_t hi)
+{
+    return {v.begin() + static_cast<std::ptrdiff_t>(lo),
+            v.begin() + static_cast<std::ptrdiff_t>(hi)};
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -185,6 +193,29 @@ FleetStats::fingerprint() const
 // FleetSim.
 // ---------------------------------------------------------------------------
 
+/**
+ * One replay segment of an epoch: the scale-up lag on the old vector,
+ * the cold-cache window on the new one, or the steady remainder.
+ */
+struct FleetSim::Segment
+{
+    /** The vector that serves the segment. */
+    const std::vector<int> *replicas = nullptr;
+    /** The epoch's requests [lo, hi) replayed with counters engaged. */
+    std::size_t lo = 0, hi = 0;
+    /** Replayed first to warm the caches; its stats are discarded. */
+    std::vector<workload::Request> prewarm;
+    /** Drop the pooled-result cache after the prewarm. */
+    bool invalidate = false;
+    /** Ramp scaled-up shards' row caches from this vector (cold window). */
+    const std::vector<int> *degrade_from = nullptr;
+    std::uint64_t seed_salt = 0;
+    /** Outside the declared reconfiguration window. */
+    bool steady = false;
+    /** New machines booked but still booting (idle power). */
+    double booting = 0.0;
+};
+
 struct FleetSim::SegmentResult
 {
     std::vector<core::RequestStats> stats;
@@ -196,6 +227,8 @@ struct FleetSim::SegmentResult
     std::uint64_t primary_rpcs = 0;
     std::uint64_t hedges = 0;
     std::size_t peak_replica_queue = 0;
+    /** Latency-feed samples dropped for arriving over a horizon late. */
+    std::uint64_t dropped_stale = 0;
 };
 
 /**
@@ -220,10 +253,6 @@ struct FleetSim::FaultPlan
     std::vector<int> partitioned_shards;
     /** Row-cache share retained during a snapshot storm (1 = none). */
     double storm_warm_share = 1.0;
-    /** Fire fresh_kills in this segment (the epoch's steady segment). */
-    bool apply_fresh_kills = false;
-    /** FleetConfig::crash_at_fraction, carried along. */
-    double kill_at_fraction = 0.25;
 };
 
 FleetSim::FleetSim(const model::ModelSpec &spec,
@@ -258,28 +287,32 @@ FleetSim::FleetSim(const model::ModelSpec &spec,
 }
 
 FleetSim::SegmentResult
-FleetSim::runSegment(const std::vector<int> &replicas,
-                     const std::vector<workload::Request> &slice,
-                     double qps,
-                     const std::vector<workload::Request> &prewarm,
-                     bool invalidate_result_cache,
-                     const std::vector<int> &prev_replicas,
-                     bool degrade_caches, std::uint64_t seed_salt,
-                     const FaultPlan *faults, TraceHooks trace)
+FleetSim::runSegment(const Segment &seg,
+                     const std::vector<workload::Request> &requests,
+                     double qps, const FaultPlan &faults,
+                     obs::SpanTracer *tracer)
 {
+    const std::vector<int> &replicas = *seg.replicas;
     core::ServingConfig cfg = base_;
     cfg.sparse_replicas_per_shard = replicas;
-    cfg.seed = stats::mix64(base_.seed ^ seed_salt);
+    cfg.seed = stats::mix64(base_.seed ^ seg.seed_salt);
     // Pure observers: the tracer never draws simulation RNG and the
     // feed only reads completions, so wiring them cannot change stats.
-    cfg.tracer = trace.tracer;
-    cfg.latency_feed = trace.feed;
+    // The feed is per segment because each segment's sim clock
+    // restarts at 0.
+    obs::RollingHistogram feed;
+    if (tracer != nullptr) {
+        tracer->sampler()->setLatencyFeed(&feed);
+        cfg.tracer = tracer;
+        cfg.latency_feed = &feed;
+    }
 
-    if (degrade_caches && !base_.shard_cache_models.empty()) {
+    if (seg.degrade_from != nullptr && !base_.shard_cache_models.empty()) {
         // Cold-replica warmup ramp: a shard that grew from r to r'
         // replicas serves the window at (r + 0.5*(r'-r))/r' of its
         // steady hit rate — surviving replicas stay warm, new ones ramp
         // linearly from empty.
+        const std::vector<int> &prev_replicas = *seg.degrade_from;
         cfg.shard_cache_models = base_.shard_cache_models;
         for (std::size_t s = 0; s < cfg.shard_cache_models.size() &&
                                 s < replicas.size();
@@ -302,59 +335,58 @@ FleetSim::runSegment(const std::vector<int> &replicas,
     // Snapshot storm: every shard's row cache re-warms from a mass
     // embedding refresh, so ALL shards serve at the storm's warm share
     // this segment (stacks multiplicatively on any cold-replica ramp).
-    if (faults != nullptr && faults->storm_warm_share < 1.0) {
+    if (faults.storm_warm_share < 1.0) {
         if (cfg.shard_cache_models.empty())
             cfg.shard_cache_models = base_.shard_cache_models;
         for (auto &m : cfg.shard_cache_models)
             if (m)
                 m = std::make_shared<const cache::CachedLookupModel>(
-                    m->scaled(faults->storm_warm_share));
+                    m->scaled(faults.storm_warm_share));
     }
 
     core::ServingSimulation sim(spec_, plan_, cfg);
 
-    // Fault targets address the SEGMENT's replica vector (lag segments
-    // still run the OLD vector): flat server id in serverShards() order.
-    // Replica indexes past the shard's current size clamp to its last
-    // replica, so a schedule written against the peak vector stays
-    // meaningful after a scale-down.
-    const auto serverIdFor = [&replicas](int shard, int rep) {
-        int id = 0;
-        for (int s = 0; s < shard; ++s)
-            id += std::max(1, replicas[static_cast<std::size_t>(s)]);
-        const int within =
-            std::max(1, replicas[static_cast<std::size_t>(shard)]);
-        return id + std::min(rep, within - 1);
+    // Fault targets address the segment's own replica vector, whose
+    // servers serverShards() lists shard by shard. A replica index
+    // past the shard's current size clamps to its last replica, so a
+    // schedule written against the peak vector stays meaningful after
+    // a scale-down.
+    const std::vector<int> server_shard = sim.serverShards();
+    const auto serverIdFor = [&server_shard](int shard, int rep) {
+        const auto [first, last] = std::equal_range(
+            server_shard.begin(), server_shard.end(), shard);
+        return static_cast<int>(
+            (first - server_shard.begin()) +
+            std::min<std::ptrdiff_t>(rep, last - first - 1));
     };
 
     // Apply the epoch's standing faults through the runtime control
     // surface before any traffic.
-    if (faults != nullptr) {
-        for (const auto &[shard, rep] : faults->dead)
-            sim.killReplica(serverIdFor(shard, rep));
-        for (const auto &[shard, rep, mult] : faults->slow)
-            sim.degradeReplica(serverIdFor(shard, rep), mult);
-        for (const int s : faults->partitioned_shards)
-            sim.partitionShard(s, true);
-    }
+    for (const auto &[shard, rep] : faults.dead)
+        sim.killReplica(serverIdFor(shard, rep));
+    for (const auto &[shard, rep, mult] : faults.slow)
+        sim.degradeReplica(serverIdFor(shard, rep), mult);
+    for (const int s : faults.partitioned_shards)
+        sim.partitionShard(s, true);
 
-    if (!prewarm.empty())
-        sim.replayOpenLoop(prewarm, qps); // warm caches; stats discarded
-    if (invalidate_result_cache)
+    if (!seg.prewarm.empty())
+        sim.replayOpenLoop(seg.prewarm, qps); // stats discarded
+    if (seg.invalidate)
         sim.invalidateResultCache();
     const std::uint64_t warm_hits = sim.resultCacheStats().hits;
     const std::uint64_t warm_lookups = sim.resultCacheStats().lookups;
 
-    // Mid-segment crash onsets: scheduled AFTER the prewarm replay so
-    // the kill lands crash_at_fraction into the MEASURED traffic (the
-    // discovery-lag timer starts at the kill, so hedging must mask the
-    // gap until the directory reacts).
-    if (faults != nullptr && faults->apply_fresh_kills &&
-        !faults->fresh_kills.empty() && !slice.empty() && qps > 0.0) {
-        const double span_s = static_cast<double>(slice.size()) / qps;
+    // Crash onsets fire in the steady segment, scheduled AFTER the
+    // prewarm replay so the kill lands crash_at_fraction into the
+    // MEASURED traffic (the discovery-lag timer starts at the kill, so
+    // hedging must mask the gap until the directory reacts).
+    const auto measured = slice(requests, seg.lo, seg.hi);
+    if (seg.steady && !faults.fresh_kills.empty() && !measured.empty() &&
+        qps > 0.0) {
+        const double span_s = static_cast<double>(measured.size()) / qps;
         const auto offset = static_cast<sim::Duration>(
-            faults->kill_at_fraction * span_s * 1e9);
-        for (const auto &fk : faults->fresh_kills) {
+            cfg_.crash_at_fraction * span_s * 1e9);
+        for (const auto &fk : faults.fresh_kills) {
             const int srv = serverIdFor(fk.first, fk.second);
             sim.engine().scheduleAt(sim.engine().now() + offset,
                                     sim::kEvTimer,
@@ -363,7 +395,7 @@ FleetSim::runSegment(const std::vector<int> &replicas,
     }
 
     SegmentResult out;
-    out.stats = sim.replayOpenLoop(slice, qps);
+    out.stats = sim.replayOpenLoop(measured, qps);
     out.main_utilization = sim.mainUtilization();
     out.result_cache_hits = sim.resultCacheStats().hits - warm_hits;
     out.result_cache_lookups =
@@ -373,10 +405,10 @@ FleetSim::runSegment(const std::vector<int> &replicas,
     out.hedges = hs.hedges;
     for (const std::size_t q : sim.serverPeakQueue())
         out.peak_replica_queue = std::max(out.peak_replica_queue, q);
+    out.dropped_stale = feed.droppedStale();
 
     const auto shards = static_cast<std::size_t>(plan_.numShards());
     const auto util = sim.serverUtilization();
-    const auto server_shard = sim.serverShards();
     out.shard_utilization.assign(shards, 0.0);
     std::vector<int> servers(shards, 0);
     for (std::size_t srv = 0; srv < util.size(); ++srv) {
@@ -456,50 +488,39 @@ FleetSim::run(Autoscaler &policy)
 
         // Resolve the schedule's events active this epoch into a fault
         // plan (serving-side) plus load overlays (flash crowd, storm
-        // invalidation). Fault-free epochs take the nullptr path, which
-        // is bit-for-bit the pre-fault-layer code path.
-        FaultPlan fp;
-        fp.kill_at_fraction = cfg_.crash_at_fraction;
-        bool fault_any = false;
-        bool storm_pending = false;
-        double flash_rate = 1.0;
-        double flash_hot = 0.0;
-        if (!cfg_.faults.empty()) {
-            for (const FaultEvent *ev : cfg_.faults.activeAt(e)) {
-                switch (ev->kind) {
-                case FaultKind::ReplicaCrash:
-                    (ev->start_epoch == e ? fp.fresh_kills : fp.dead)
-                        .emplace_back(ev->shard, ev->replica);
-                    fault_any = true;
-                    break;
-                case FaultKind::SlowReplica:
-                    fp.slow.emplace_back(ev->shard, ev->replica,
-                                         ev->magnitude);
-                    fault_any = true;
-                    break;
-                case FaultKind::Partition:
-                    fp.partitioned_shards.push_back(ev->shard);
-                    fault_any = true;
-                    break;
-                case FaultKind::SnapshotStorm:
-                    fp.storm_warm_share =
-                        std::min(fp.storm_warm_share, ev->magnitude);
-                    storm_pending = true;
-                    fault_any = true;
-                    break;
-                case FaultKind::FlashCrowd:
-                    flash_rate *= ev->magnitude;
-                    flash_hot = std::max(flash_hot, ev->hot_fraction);
-                    break;
-                }
-            }
-        }
-        const FaultPlan *plan = fault_any ? &fp : nullptr;
+        // invalidation). An empty plan changes nothing in a segment.
+        FaultPlan faults;
         // Storm: snapshot refreshes keep landing all epoch, so EVERY
         // segment starts from an invalidated pooled-result cache (the
         // prewarmed working set is dropped each time), on top of the
         // row caches re-warming from storm_warm_share.
-        const bool storm = storm_pending;
+        bool storm = false;
+        double flash_rate = 1.0;
+        double flash_hot = 0.0;
+        for (const FaultEvent *ev : cfg_.faults.activeAt(e)) {
+            switch (ev->kind) {
+            case FaultKind::ReplicaCrash:
+                (ev->start_epoch == e ? faults.fresh_kills : faults.dead)
+                    .emplace_back(ev->shard, ev->replica);
+                break;
+            case FaultKind::SlowReplica:
+                faults.slow.emplace_back(ev->shard, ev->replica,
+                                         ev->magnitude);
+                break;
+            case FaultKind::Partition:
+                faults.partitioned_shards.push_back(ev->shard);
+                break;
+            case FaultKind::SnapshotStorm:
+                faults.storm_warm_share =
+                    std::min(faults.storm_warm_share, ev->magnitude);
+                storm = true;
+                break;
+            case FaultKind::FlashCrowd:
+                flash_rate *= ev->magnitude;
+                flash_hot = std::max(flash_hot, ev->hot_fraction);
+                break;
+            }
+        }
 
         // Flash crowd overlay: offered rate multiplies, and a
         // deterministic stride of the epoch's sample collapses onto the
@@ -553,13 +574,10 @@ FleetSim::run(Autoscaler &policy)
 
         // Per-epoch bounded trace retention: fresh tracer + sampler
         // (epoch-mixed seed) so retained sets are attributable to an
-        // epoch and arena memory never outlives one. The rolling
-        // latency feed is created per SEGMENT (each segment's sim
-        // clock restarts at 0) and re-wired into the sampler.
+        // epoch and arena memory never outlives one.
         const auto &ts = cfg_.trace_sampling;
         obs::SpanTracer epoch_tracer(true);
         std::unique_ptr<obs::TraceSampler> sampler;
-        std::uint64_t epoch_dropped_stale = 0;
         if (ts.enabled) {
             obs::SamplerConfig sc;
             sc.seed = stats::mix64(ts.seed ^
@@ -570,125 +588,96 @@ FleetSim::run(Autoscaler &policy)
             sampler = std::make_unique<obs::TraceSampler>(sc);
             epoch_tracer.setSampler(sampler.get());
         }
-        const auto segmentHooks = [&](obs::RollingHistogram &feed) {
-            TraceHooks hooks;
-            if (sampler) {
-                sampler->setLatencyFeed(&feed);
-                hooks.tracer = &epoch_tracer;
-                hooks.feed = &feed;
-            }
-            return hooks;
-        };
 
-        std::vector<core::RequestStats> all_stats;
-        std::vector<core::RequestStats> steady_stats;
-        double watt_hours = 0.0;
-        std::uint64_t rc_hits = 0, rc_lookups = 0;
-        std::uint64_t prim_rpcs = 0, hedges = 0;
-        std::size_t peak_rq = 0;
-        SegmentResult last_seg;
-
-        const auto slice = [&](std::size_t lo, std::size_t hi) {
-            return std::vector<workload::Request>(
-                requests.begin() + static_cast<std::ptrdiff_t>(lo),
-                requests.begin() + static_cast<std::ptrdiff_t>(hi));
-        };
-        const auto sparsePower = [&](const std::vector<int> &v,
-                                     const std::vector<double> &util) {
-            double watts = 0.0;
-            for (std::size_t s = 0; s < shards; ++s) {
-                const double u = s < util.size() ? util[s] : 0.0;
-                watts += static_cast<double>(v[s]) *
-                         (sp.idle_watts +
-                          (sp.busy_watts - sp.idle_watts) * u);
-            }
-            return watts;
-        };
-        const auto accountSegment = [&](const SegmentResult &seg,
-                                        const std::vector<int> &v,
-                                        std::size_t count, bool steady,
-                                        double booting_machines) {
-            all_stats.insert(all_stats.end(), seg.stats.begin(),
-                             seg.stats.end());
-            if (steady)
-                steady_stats.insert(steady_stats.end(), seg.stats.begin(),
-                                    seg.stats.end());
-            const double frac = static_cast<double>(count) /
-                                static_cast<double>(n);
-            double watts = sparsePower(v, seg.shard_utilization);
-            // Machines still booting draw idle power until they serve.
-            watts += booting_machines * sp.idle_watts;
-            if (cfg_.count_main_shard)
-                watts += mp.idle_watts +
-                         (mp.busy_watts - mp.idle_watts) *
-                             seg.main_utilization;
-            watt_hours += watts * epoch_hours * frac;
-            rc_hits += seg.result_cache_hits;
-            rc_lookups += seg.result_cache_lookups;
-            prim_rpcs += seg.primary_rpcs;
-            hedges += seg.hedges;
-            peak_rq = std::max(peak_rq, seg.peak_replica_queue);
-        };
-
+        // The epoch's segments in replay order. The previous epoch's
+        // tail prewarms the lag segment on a scale-up and the steady
+        // segment when nothing changed: never both, so it is moved.
+        std::vector<Segment> segments;
+        segments.reserve(3);
         if (lag_n > 0) {
             // Scale-up provisioning lag: the OLD vector keeps serving
             // the new epoch's offered load; the new machines are booked
             // (and drawing idle power) but not yet serving.
-            double booting = 0.0;
+            Segment &lag = segments.emplace_back();
+            lag.replicas = &prev;
+            lag.hi = lag_n;
+            lag.prewarm = std::move(prev_tail);
+            lag.invalidate = storm;
+            lag.seed_salt = salt + 0;
             for (std::size_t s = 0; s < shards; ++s)
-                booting += std::max(0, vec[s] - prev[s]);
-            obs::RollingHistogram seg_feed;
-            const auto seg =
-                runSegment(prev, slice(0, lag_n), qps, prev_tail,
-                           /*invalidate=*/storm, prev,
-                           /*degrade=*/false, salt + 0, plan,
-                           segmentHooks(seg_feed));
-            epoch_dropped_stale += seg_feed.droppedStale();
-            accountSegment(seg, prev, lag_n, /*steady=*/false, booting);
-            last_seg = seg;
+                lag.booting += std::max(0, vec[s] - prev[s]);
         }
-        if (rec.reconfigured && lag_n + cold_n > lag_n) {
+        if (rec.reconfigured && cold_n > 0) {
             // Cold window on the new vector: fresh replicas' row caches
             // ramp, and the pooled-result cache restarts from the
             // resharding invalidation — so there is nothing to prewarm
             // (replaying carry-over traffic only to invalidate it would
             // be pure wasted simulation).
-            obs::RollingHistogram seg_feed;
-            const auto seg = runSegment(
-                vec, slice(lag_n, std::min(n, lag_n + cold_n)), qps,
-                /*prewarm=*/{}, /*invalidate=*/true, prev,
-                /*degrade=*/true, salt + 1, plan,
-                segmentHooks(seg_feed));
-            epoch_dropped_stale += seg_feed.droppedStale();
-            accountSegment(seg, vec,
-                           std::min(n, lag_n + cold_n) - lag_n,
-                           /*steady=*/false, 0.0);
-            last_seg = seg;
+            Segment &cold = segments.emplace_back();
+            cold.replicas = &vec;
+            cold.lo = lag_n;
+            cold.hi = std::min(n, lag_n + cold_n);
+            cold.invalidate = true;
+            cold.degrade_from = &prev;
+            cold.seed_salt = salt + 1;
         }
-        {
-            const std::size_t lo = std::min(n, lag_n + cold_n);
-            // Steady remainder (the whole epoch when nothing changed).
-            // Prewarm comes from the immediately preceding traffic so
-            // the pooled-result cache keeps cross-epoch continuity.
-            std::vector<workload::Request> prewarm;
-            if (rec.reconfigured) {
-                const std::size_t back =
-                    std::min(lo, cfg_.prewarm_requests);
-                prewarm = slice(lo - back, lo);
-            } else {
-                prewarm = prev_tail;
-            }
-            fp.apply_fresh_kills = true; // crash onsets land here
-            obs::RollingHistogram seg_feed;
-            const auto seg =
-                runSegment(vec, slice(lo, n), qps, prewarm,
-                           /*invalidate=*/storm, prev,
-                           /*degrade=*/false, salt + 2, plan,
-                           segmentHooks(seg_feed));
-            epoch_dropped_stale += seg_feed.droppedStale();
-            accountSegment(seg, vec, n - lo, /*steady=*/true, 0.0);
-            last_seg = seg;
+        // Steady remainder (the whole epoch when nothing changed).
+        // Prewarm comes from the immediately preceding traffic so the
+        // pooled-result cache keeps cross-epoch continuity.
+        Segment &steady_seg = segments.emplace_back();
+        steady_seg.replicas = &vec;
+        steady_seg.lo = std::min(n, lag_n + cold_n);
+        steady_seg.hi = n;
+        steady_seg.prewarm =
+            rec.reconfigured
+                ? slice(requests,
+                        steady_seg.lo -
+                            std::min(steady_seg.lo, cfg_.prewarm_requests),
+                        steady_seg.lo)
+                : std::move(prev_tail);
+        steady_seg.invalidate = storm;
+        steady_seg.seed_salt = salt + 2;
+        steady_seg.steady = true;
+
+        std::vector<SegmentResult> results;
+        results.reserve(segments.size());
+        double watt_hours = 0.0;
+        std::uint64_t rc_hits = 0, rc_lookups = 0;
+        std::uint64_t prim_rpcs = 0, hedges = 0;
+        std::uint64_t dropped_stale = 0;
+        std::size_t peak_rq = 0;
+        for (const Segment &seg : segments) {
+            const SegmentResult &r = results.emplace_back(runSegment(
+                seg, requests, qps, faults,
+                sampler ? &epoch_tracer : nullptr));
+            dropped_stale += r.dropped_stale;
+            double watts = 0.0;
+            for (std::size_t s = 0; s < shards; ++s)
+                watts += static_cast<double>((*seg.replicas)[s]) *
+                         sp.watts(r.shard_utilization[s]);
+            // Machines still booting draw idle power until they serve.
+            watts += seg.booting * sp.idle_watts;
+            if (cfg_.count_main_shard)
+                watts += mp.watts(r.main_utilization);
+            const double frac = static_cast<double>(seg.hi - seg.lo) /
+                                static_cast<double>(n);
+            watt_hours += watts * epoch_hours * frac;
+            rc_hits += r.result_cache_hits;
+            rc_lookups += r.result_cache_lookups;
+            prim_rpcs += r.primary_rpcs;
+            hedges += r.hedges;
+            peak_rq = std::max(peak_rq, r.peak_replica_queue);
         }
+        // The steady segment runs last. Whole-epoch figures also count
+        // the reconfiguration window, when one ran.
+        SegmentResult &steady = results.back();
+        std::vector<core::RequestStats> epoch_stats;
+        if (results.size() > 1)
+            for (const SegmentResult &r : results)
+                epoch_stats.insert(epoch_stats.end(), r.stats.begin(),
+                                   r.stats.end());
+        const std::vector<core::RequestStats> &all_stats =
+            results.size() > 1 ? epoch_stats : steady.stats;
 
         // Machine-hours: the decided vector is billed for the whole
         // epoch; during a scale-up lag the old plan's still-serving
@@ -708,22 +697,20 @@ FleetSim::run(Autoscaler &policy)
 
         rec.watt_hours = watt_hours;
         rec.p99_ms = core::latencyQuantiles(all_stats).p99_ms;
-        rec.steady_p99_ms = core::latencyQuantiles(steady_stats).p99_ms;
+        rec.steady_p99_ms = core::latencyQuantiles(steady.stats).p99_ms;
         rec.shed_rate = core::shedRate(all_stats);
         for (const auto &s : all_stats)
             rec.shed_requests += s.shed() ? 1 : 0;
-        const double steady_shed = core::shedRate(steady_stats);
+        const double steady_shed = core::shedRate(steady.stats);
         rec.slo_violation = rec.p99_ms > cfg_.slo.p99_ms ||
                             rec.shed_rate > cfg_.slo.max_shed_rate;
         rec.steady_slo_violation =
             rec.steady_p99_ms > cfg_.slo.p99_ms ||
             steady_shed > cfg_.slo.max_shed_rate;
-        rec.mean_sparse_utilization = meanOf(last_seg.shard_utilization);
+        rec.mean_sparse_utilization = meanOf(steady.shard_utilization);
         rec.max_sparse_utilization =
-            last_seg.shard_utilization.empty()
-                ? 0.0
-                : *std::max_element(last_seg.shard_utilization.begin(),
-                                    last_seg.shard_utilization.end());
+            *std::max_element(steady.shard_utilization.begin(),
+                              steady.shard_utilization.end());
         rec.result_cache_hit_rate =
             rc_lookups > 0 ? static_cast<double>(rc_hits) /
                                  static_cast<double>(rc_lookups)
@@ -744,14 +731,9 @@ FleetSim::run(Autoscaler &policy)
                 static_cast<std::int64_t>(vec[s]) *
                 static_cast<std::int64_t>(
                     plan_.capacityBytes(spec_, static_cast<int>(s)));
-            p.cpu_utilization =
-                s < last_seg.shard_utilization.size()
-                    ? last_seg.shard_utilization[s]
-                    : 0.0;
-            p.power_watts =
-                static_cast<double>(p.replicas) *
-                (sp.idle_watts +
-                 (sp.busy_watts - sp.idle_watts) * p.cpu_utilization);
+            p.cpu_utilization = steady.shard_utilization[s];
+            p.power_watts = static_cast<double>(p.replicas) *
+                            sp.watts(p.cpu_utilization);
             rec.plan.shards.push_back(p);
         }
 
@@ -782,7 +764,7 @@ FleetSim::run(Autoscaler &policy)
         last.offered_qps = qps;
         last.p99_ms = rec.steady_p99_ms;
         last.shed_rate = rec.shed_rate;
-        last.shard_utilization = last_seg.shard_utilization;
+        last.shard_utilization = std::move(steady.shard_utilization);
         last.max_shard_utilization = rec.max_sparse_utilization;
         last.requests = static_cast<std::int64_t>(all_stats.size());
         last.shed_requests = rec.shed_requests;
@@ -790,7 +772,7 @@ FleetSim::run(Autoscaler &policy)
         have_last = true;
         prev = vec;
         const std::size_t back = std::min(n, cfg_.prewarm_requests);
-        prev_tail = slice(n - back, n);
+        prev_tail = slice(requests, n - back, n);
 
         // Telemetry analysis over the finished epoch: burn the error
         // budgets, evaluate the alert rules, step the burst detector.
@@ -856,7 +838,7 @@ FleetSim::run(Autoscaler &policy)
             tsum.kept_tail = ss.kept_tail;
             tsum.kept_reservoir = ss.kept_reservoir;
             tsum.recycled = ss.recycled;
-            tsum.dropped_stale = epoch_dropped_stale;
+            tsum.dropped_stale = dropped_stale;
             std::vector<const obs::RetainedTrace *> ranked;
             ranked.reserve(sampler->retained().size());
             for (const obs::RetainedTrace &t : sampler->retained())

@@ -347,25 +347,22 @@ class FleetSim
     const FleetConfig &config() const { return cfg_; }
 
   private:
+    struct Segment;
     struct SegmentResult;
     struct FaultPlan;
 
-    /** Per-segment tracing hooks (null members when sampling is off). */
-    struct TraceHooks
-    {
-        obs::SpanTracer *tracer = nullptr;
-        /** Fresh per segment: each segment's sim clock restarts at 0. */
-        obs::RollingHistogram *feed = nullptr;
-    };
-
-    SegmentResult
-    runSegment(const std::vector<int> &replicas,
-               const std::vector<workload::Request> &slice, double qps,
-               const std::vector<workload::Request> &prewarm,
-               bool invalidate_result_cache,
-               const std::vector<int> &prev_replicas, bool degrade_caches,
-               std::uint64_t seed_salt, const FaultPlan *faults,
-               TraceHooks trace);
+    /**
+     * Replay one segment of an epoch's `requests` at `qps` on a fresh
+     * ServingSimulation with the epoch's faults applied; crash onsets
+     * fire only in the steady segment. `tracer` is the epoch's sampling
+     * tracer (null when sampling is off); the segment feeds its sampler
+     * a fresh rolling latency window, since each segment's sim clock
+     * restarts at 0.
+     */
+    SegmentResult runSegment(const Segment &seg,
+                             const std::vector<workload::Request> &requests,
+                             double qps, const FaultPlan &faults,
+                             obs::SpanTracer *tracer);
 
     model::ModelSpec spec_;
     core::ShardingPlan plan_;

@@ -206,6 +206,48 @@ TEST(CapacityPlanner, VectorsMonotoneInRateAndCached)
     EXPECT_EQ(planner.plansComputed(), computed);
 }
 
+TEST(CapacityPlanner, RejectsAPlanWithoutSparseShards)
+{
+    const auto spec = model::makeDrm2();
+    EXPECT_THROW(fleet::CapacityPlanner(spec, core::makeSingular(spec),
+                                        fleetTestServing(), {}),
+                 std::invalid_argument);
+}
+
+TEST(CapacityPlanner, RejectsHeadroomBelowOne)
+{
+    const auto spec = model::makeDrm2();
+    fleet::PlannerConfig pc;
+    pc.headroom = 0.9;
+    EXPECT_THROW(fleet::CapacityPlanner(spec,
+                                        core::makeCapacityBalanced(spec, 4),
+                                        fleetTestServing(), pc),
+                 std::invalid_argument);
+}
+
+TEST(CapacityPlanner, RejectsAQuantumOfOneOrLess)
+{
+    const auto spec = model::makeDrm2();
+    fleet::PlannerConfig pc;
+    pc.qps_quantum = 1.0;
+    EXPECT_THROW(fleet::CapacityPlanner(spec,
+                                        core::makeCapacityBalanced(spec, 4),
+                                        fleetTestServing(), pc),
+                 std::invalid_argument);
+}
+
+TEST(CapacityPlanner, RejectsANonPositiveRate)
+{
+    const auto spec = model::makeDrm2();
+    fleet::CapacityPlanner planner(spec, core::makeCapacityBalanced(spec, 4),
+                                   fleetTestServing(), {});
+    // A non-positive forecast reaches quantize() through the public
+    // planning call; both throw before any simulation runs.
+    EXPECT_THROW(planner.quantize(0.0), std::invalid_argument);
+    EXPECT_THROW(planner.replicaVectorFor(-10.0), std::invalid_argument);
+    EXPECT_EQ(planner.plansComputed(), 0);
+}
+
 // ---------------------------------------------------------------------------
 // FleetSim.
 // ---------------------------------------------------------------------------
@@ -780,6 +822,26 @@ TEST(AutoscalerFactory, PlannerPoliciesRejectAMissingPlanner)
     EXPECT_THROW(fleet::makeAutoscaler("static-peak", inputs),
                  std::invalid_argument);
     EXPECT_THROW(fleet::makeAutoscaler("predictive", inputs),
+                 std::invalid_argument);
+}
+
+TEST(ReactiveAutoscaler, RejectsAnEmptyInitialVector)
+{
+    EXPECT_THROW(fleet::ReactiveAutoscaler({}, fleet::ReactiveConfig{}),
+                 std::invalid_argument);
+}
+
+TEST(ReactiveAutoscaler, RejectsAnEmptyHysteresisBand)
+{
+    fleet::ReactiveConfig rc;
+    rc.low_utilization = rc.high_utilization;
+    EXPECT_THROW(fleet::ReactiveAutoscaler({2, 2}, rc),
+                 std::invalid_argument);
+}
+
+TEST(BurnRateAutoscaler, RejectsAnEmptyInitialVector)
+{
+    EXPECT_THROW(fleet::BurnRateAutoscaler({}, fleet::BurnRateConfig{}),
                  std::invalid_argument);
 }
 
