@@ -624,7 +624,7 @@ TEST(FleetSim, GoldenLedgersMatchParent)
     dl.burst_fraction = 0.3;
     const workload::DiurnalLoadModel load(spec, dl);
 
-    auto fc = smallFleet(8);
+    auto fc = smallFleet(12); // one day at flatLoad's 12 epochs per day
     fc.trace_sampling.enabled = true;
     fc.faults.crashReplica(0, 1, 2, 4)
         .slowReplica(1, 3, 3.0, 1, 3)
@@ -645,18 +645,18 @@ TEST(FleetSim, GoldenLedgersMatchParent)
     // Per policy, in registeredAutoscalers() order: ledger, telemetry,
     // trace summaries plus scenario exemplars, metrics JSONL.
     const std::uint64_t expected[4][4] = {
-        {0x1a0f4f8ea5a4066bULL, 0xa0716adbdcacdd52ULL, 0xdc845bb7a046050fULL,
-         0xdb6d43d8f8800c62ULL},
-        {0xdbda882edac5635dULL, 0xef37d51f5467aee0ULL, 0x588a09b7f9f7a710ULL,
-         0xcbe8109eaea96bfdULL},
-        {0x21be71c0bec06252ULL, 0x8ba4a59c4dc3074aULL, 0x6ef236d84e564e8eULL,
-         0x19126a6ec9ced65dULL},
-        {0x182bcd61db737149ULL, 0x22391be3dcee8f47ULL, 0x25e22b1182f600d5ULL,
-         0xe0bb815e05a22090ULL},
+        {0xdcb221da866da04fULL, 0x21f5981cfad2b599ULL, 0x0a464359da47126fULL,
+         0x8f911efb9045dfd0ULL},
+        {0xdf267444979f473eULL, 0x441692644431b3ecULL, 0x6fd2f7c63c3365c3ULL,
+         0x94b314c55858ebaaULL},
+        {0x3c74884025bf64b7ULL, 0x26a3076298e2c64cULL, 0x321dec596139e17aULL,
+         0x53fa0935c749f927ULL},
+        {0x122b11cc21e916f4ULL, 0xfc13feaa7652e754ULL, 0xb47dccf84e5e775dULL,
+         0xb250bd04325ffce3ULL},
     };
     const auto names = fleet::registeredAutoscalers();
     ASSERT_EQ(names.size(), 4u);
-    bool scaled_up = false;
+    bool scaled_up = false, scaled_down = false;
     for (std::size_t p = 0; p < names.size(); ++p) {
         obs::MetricsRegistry metrics;
         auto cfg = fc;
@@ -664,8 +664,10 @@ TEST(FleetSim, GoldenLedgersMatchParent)
         fleet::FleetSim sim(spec, plan, fleetTestServing(), load, cfg);
         const auto policy = fleet::makeAutoscaler(names[p], inputs);
         const auto s = sim.run(*policy);
-        for (const auto &r : s.epochs)
+        for (const auto &r : s.epochs) {
             scaled_up |= r.scaled_up;
+            scaled_down |= r.scaled_down;
+        }
         ASSERT_EQ(s.telemetry.traces.size(), s.epochs.size());
         ASSERT_EQ(s.telemetry.scenarios.size(), fc.faults.events().size());
 
@@ -704,8 +706,10 @@ TEST(FleetSim, GoldenLedgersMatchParent)
                 << names[p] << " case " << k << ": got 0x" << std::hex
                 << got[k];
     }
-    // The lag and cold segments only run on a scale-up epoch.
+    // The lag segment runs only on a scale-up, and a cold segment
+    // without a lag only on a scale-down.
     EXPECT_TRUE(scaled_up);
+    EXPECT_TRUE(scaled_down);
 }
 
 /** The smoke-sized canonical study stays deterministic end to end. */
