@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -299,12 +300,13 @@ FleetSim::runSegment(const Segment &seg,
     // Pure observers: the tracer never draws simulation RNG and the
     // feed only reads completions, so wiring them cannot change stats.
     // The feed is per segment because each segment's sim clock
-    // restarts at 0.
-    obs::RollingHistogram feed;
+    // restarts at 0, and exists only when sampling reads it.
+    std::optional<obs::RollingHistogram> feed;
     if (tracer != nullptr) {
-        tracer->sampler()->setLatencyFeed(&feed);
+        feed.emplace();
+        tracer->sampler()->setLatencyFeed(&*feed);
         cfg.tracer = tracer;
-        cfg.latency_feed = &feed;
+        cfg.latency_feed = &*feed;
     }
 
     if (seg.degrade_from != nullptr && !base_.shard_cache_models.empty()) {
@@ -405,7 +407,7 @@ FleetSim::runSegment(const Segment &seg,
     out.hedges = hs.hedges;
     for (const std::size_t q : sim.serverPeakQueue())
         out.peak_replica_queue = std::max(out.peak_replica_queue, q);
-    out.dropped_stale = feed.droppedStale();
+    out.dropped_stale = feed ? feed->droppedStale() : 0;
 
     const auto shards = static_cast<std::size_t>(plan_.numShards());
     const auto util = sim.serverUtilization();
